@@ -319,7 +319,10 @@ def _walk_amplitude(args: argparse.Namespace):
 
 def cmd_walk(args: argparse.Namespace) -> int:
     graph, t = _walk_amplitude(args)
-    amp = amplitude(graph, args.src, args.dst, t)
+    try:
+        amp = amplitude(graph, args.src, args.dst, t)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
     if args.format == "json":
         emit_json(
             args,
@@ -352,7 +355,10 @@ def cmd_pst_search(args: argparse.Namespace) -> int:
     t_max = parse_time_expression(args.t_max)
     if t_max <= 0:
         raise UsageError("--t-max must be positive")
-    verdicts = pst_search(graph, args.src, args.dst, t_max, tol=args.tol)
+    try:
+        verdicts = pst_search(graph, args.src, args.dst, t_max, tol=args.tol)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
     if args.format == "json":
         emit_json(
             args,
@@ -388,7 +394,10 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise UsageError("--points must be at least 2")
     ts = np.linspace(0.0, t_max, args.points)
-    amps = amplitude_series(graph, args.src, args.dst, ts)
+    try:
+        amps = amplitude_series(graph, args.src, args.dst, ts)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
     if args.format == "json":
         emit_json(
             args,

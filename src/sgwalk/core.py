@@ -427,6 +427,7 @@ def read_weighted_graph(path) -> WeightedGraph:
     source = str(path)
     n, triples = _parse_edge_lines(Path(path).read_text(), source)
     w = np.zeros((n, n))
+    seen = set()
     for lineno, u, v, token in triples:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"{source}:{lineno}: vertex out of range")
@@ -434,8 +435,12 @@ def read_weighted_graph(path) -> WeightedGraph:
             value = float(token)
         except ValueError:
             raise ValueError(f"{source}:{lineno}: bad weight {token!r}") from None
-        if w[u, v] != 0.0:
+        if not np.isfinite(value):
+            raise ValueError(f"{source}:{lineno}: weight {token!r} is not finite")
+        key = (min(u, v), max(u, v))
+        if key in seen:
             raise ValueError(f"{source}:{lineno}: duplicate entry for ({u}, {v})")
+        seen.add(key)
         w[u, v] = value
         w[v, u] = value
     return WeightedGraph(n, w)

@@ -9,11 +9,11 @@ which is how every amplitude here is evaluated.  Perfect state transfer
 (PST) between distinct vertices means the fidelity |<b|U(t)|a>|^2
 reaches 1; periodicity is the same statement on the diagonal.
 
-Eigenproblems are solved by a cyclic Jacobi iteration with threshold
-sweeps.  That is deliberate: the matrices are small and integer-valued,
-and Jacobi delivers deterministic, fully orthogonal eigenvectors with a
-checkable accuracy contract (reconstruction and orthogonality residuals
-are verified on every call).
+Eigenproblems are solved by LAPACK (``numpy.linalg.eigh``) under an
+accuracy contract checked on every call: reconstruction and
+orthonormality residuals within 1e-10.  Transfer peaks are refined to a
+root of the analytic derivative of the fidelity, so PST times are exact
+to rounding.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_GRID_STEP",
     "EIG_GROUP_TOL",
-    "TIME_RESOLUTION",
     "Spectrum",
     "eig_sym",
     "WalkAmplitude",
@@ -55,66 +54,14 @@ __all__ = [
 DEFAULT_TOL = 1e-9            # fidelity slack for PST / periodicity verdicts
 DEFAULT_GRID_STEP = 1e-3 * math.pi
 EIG_GROUP_TOL = 1e-8          # eigenvalue grouping, relative to max |entry|
-TIME_RESOLUTION = 1e-12       # local maxima are refined down to this width
-_JACOBI_TARGET = 1e-14        # off-diagonal Frobenius mass, relative to ||A||_F
+# Beyond |t| * max|eigenvalue| = 1/eps the phase t * lambda has no correct bit.
+_PHASE_LIMIT = 1.0 / np.finfo(float).eps
 
 
 def adjacency_matrix(graph_or_matrix) -> np.ndarray:
     """Dense float adjacency of a graph value or a raw matrix."""
     a = getattr(graph_or_matrix, "adjacency", graph_or_matrix)
     return np.array(a, dtype=float)
-
-
-def _jacobi(a: np.ndarray):
-    """Cyclic Jacobi with threshold sweeps; returns (eigenvalues, columns)."""
-    A = a.copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    norm = float(np.linalg.norm(A))
-    if norm == 0.0 or n == 1:
-        return np.diagonal(A).copy(), V
-    target = _JACOBI_TARGET * norm
-    for sweep in range(60):
-        # Measure the off-diagonal mass directly: subtracting the diagonal
-        # energy from the total cancels catastrophically once the matrix is
-        # nearly diagonal and would report convergence far too early.
-        strict = A - np.diag(np.diagonal(A))
-        off = float(np.linalg.norm(strict))
-        if off <= target:
-            break
-        # early sweeps skip entries too small to matter yet
-        thresh = 0.2 * off / (n * n) if sweep < 3 else 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0 or abs(apq) <= thresh:
-                    continue
-                app, aqq = A[p, p], A[q, q]
-                h = aqq - app
-                if abs(h) < 1e-300:
-                    t = 1.0
-                else:
-                    theta = h / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                A[p, :] = A[:, p]
-                A[q, :] = A[:, q]
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        raise RuntimeError("Jacobi iteration did not converge in 60 sweeps")
-    return np.diagonal(A).copy(), V
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,22 +109,25 @@ def eig_sym(graph_or_matrix) -> Spectrum:
     """Spectral decomposition of a symmetric matrix (or a graph's adjacency).
 
     Deterministic for a fixed input; eigenvalues are sorted descending
-    with eigenvectors matched.  Raises if the input is not symmetric to
-    1e-12 or if the accuracy contract fails.
+    with eigenvectors matched.  Raises ValueError if the input has a
+    non-finite entry or is not symmetric to 1e-12, and RuntimeError if
+    the accuracy contract fails.
     """
     A = adjacency_matrix(graph_or_matrix)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("eig_sym expects a square matrix")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(A).max(initial=0.0)))
     if np.abs(A - A.T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    w, v = _jacobi(A)
+    w, v = np.linalg.eigh(A)
     order = np.argsort(-w, kind="stable")
-    w = np.array(w[order])
-    v = np.array(v[:, order])
+    w, v = w[order], v[:, order]
     recon = np.abs((v * w) @ v.T - A).max()
     orth = np.abs(v.T @ v - np.eye(len(w))).max()
-    if recon > 1e-10 * scale or orth > 1e-10:
+    # negated comparisons so that a NaN residual fails the contract
+    if not (recon <= 1e-10 * scale and orth <= 1e-10):
         raise RuntimeError("eigendecomposition failed its accuracy contract")
     return Spectrum(w, v, scale)
 
@@ -210,8 +160,13 @@ class WalkAmplitude:
 
     @property
     def phase(self) -> float:
-        """Argument of the amplitude in (-pi, pi]."""
-        return math.atan2(self.im, self.re)
+        """Argument of the amplitude in (-pi, pi].
+
+        Within 1e-12 of -pi it reads pi: a negative real amplitude gets an
+        imaginary part of either sign (or -0.0) from rounding alone.
+        """
+        phase = math.atan2(self.im, self.re)
+        return math.pi if phase < -math.pi + 1e-12 else phase
 
 
 def _check_vertex(label: str, v: int, n: int) -> int:
@@ -221,12 +176,22 @@ def _check_vertex(label: str, v: int, n: int) -> int:
     return v
 
 
+def _check_phase_range(spec: Spectrum, times) -> None:
+    """Refuse times whose walk phases t * lambda have no correct bit."""
+    extent = (float(np.abs(times).max(initial=0.0))
+              * float(np.abs(spec.eigenvalues).max(initial=0.0)))
+    if not extent < _PHASE_LIMIT:
+        raise ValueError(f"|t| * max|eigenvalue| = {extent:.3g} >= 1/eps: "
+                         "the walk phase has no correct digit")
+
+
 def amplitude(graph, a: int, b: int, t: float,
               spectrum: Optional[Spectrum] = None) -> WalkAmplitude:
     """Transfer amplitude from vertex a to vertex b at time t."""
     spec = spectrum if spectrum is not None else eig_sym(graph)
     a = _check_vertex("a", a, spec.n)
     b = _check_vertex("b", b, spec.n)
+    _check_phase_range(spec, float(t))
     weights = spec.eigenvectors[b, :] * spec.eigenvectors[a, :]
     z = complex(np.sum(np.exp(-1j * spec.eigenvalues * float(t)) * weights))
     return WalkAmplitude.from_complex(z, float(t))
@@ -239,6 +204,7 @@ def amplitude_series(graph, a: int, b: int, times,
     a = _check_vertex("a", a, spec.n)
     b = _check_vertex("b", b, spec.n)
     ts = np.asarray(times, dtype=float)
+    _check_phase_range(spec, ts)
     weights = spec.eigenvectors[b, :] * spec.eigenvectors[a, :]
     return np.exp(-1j * np.outer(ts, spec.eigenvalues)) @ weights
 
@@ -246,6 +212,7 @@ def amplitude_series(graph, a: int, b: int, times,
 def propagator(graph, t: float, spectrum: Optional[Spectrum] = None) -> np.ndarray:
     """Full walk matrix U(t) = exp(-i t A)."""
     spec = spectrum if spectrum is not None else eig_sym(graph)
+    _check_phase_range(spec, float(t))
     phases = np.exp(-1j * spec.eigenvalues * float(t))
     return (spec.eigenvectors * phases) @ spec.eigenvectors.T
 
@@ -297,16 +264,26 @@ def is_periodic(graph, t: float, tol: float = DEFAULT_TOL) -> bool:
     )
 
 
-def _refine_maximum(fid, lo: float, hi: float) -> float:
-    """Ternary search for the peak of a locally unimodal fidelity curve."""
-    while hi - lo > TIME_RESOLUTION:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if fid(m1) < fid(m2):
-            lo = m1
+def _refine_peak(fid_slope, lo: float, hi: float) -> float:
+    """Time of the fidelity peak in [lo, hi]: the root of dF/dt.
+
+    ``fid_slope(t)`` returns (F, dF/dt).  When dF/dt falls from positive
+    at lo to negative at hi, bisection on its sign runs until the
+    midpoint stops moving.  Otherwise the peak sits at an end of the
+    bracket, and the end with the higher fidelity is returned.
+    """
+    f_lo, slope_lo = fid_slope(lo)
+    f_hi, slope_hi = fid_slope(hi)
+    if not slope_lo > 0.0 > slope_hi:
+        return lo if f_lo > f_hi else hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if fid_slope(mid)[1] > 0.0:
+            lo = mid
         else:
-            hi = m2
-    return (lo + hi) / 2.0
+            hi = mid
 
 
 def pst_search(graph, a: int, b: int, t_max: float,
@@ -315,9 +292,10 @@ def pst_search(graph, a: int, b: int, t_max: float,
     """Scan (0, t_max] for transfer (a != b) or return (a == b) peaks.
 
     The fidelity curve is sampled on a uniform grid and every local
-    maximum is sharpened by ternary search down to a 1e-12 time window.
-    All peaks with fidelity >= 1 - tol are reported; if none qualifies
-    the single best peak is returned with kind "none".
+    maximum is refined to the root of dF/dt = 2 Re(conj(z) z'), where
+    z' = sum -i lambda exp(-i lambda t) w_lambda.  All peaks with
+    fidelity >= 1 - tol are reported; if none qualifies the single best
+    peak is returned with kind "none".
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -326,12 +304,19 @@ def pst_search(graph, a: int, b: int, t_max: float,
     spec = eig_sym(graph)
     a = _check_vertex("a", a, spec.n)
     b = _check_vertex("b", b, spec.n)
+    _check_phase_range(spec, t_max)
     steps = max(2, int(math.ceil(t_max / grid_step)))
     ts = np.linspace(0.0, t_max, steps + 1)
     fids = np.abs(amplitude_series(graph, a, b, ts, spectrum=spec)) ** 2
 
-    def fid(t: float) -> float:
-        return amplitude(graph, a, b, t, spectrum=spec).fidelity
+    weights = spec.eigenvectors[b, :] * spec.eigenvectors[a, :]
+    lambda_weights = spec.eigenvalues * weights
+
+    def fid_slope(t: float):
+        phases = np.exp(-1j * spec.eigenvalues * t)
+        z = phases @ weights
+        dz = -1j * (phases @ lambda_weights)
+        return abs(z) ** 2, 2.0 * (z.conjugate() * dz).real
 
     # Peaks far below the curve's own scale are rounding noise (a curve that
     # is mathematically zero wiggles around 1e-32), not transfer events.
@@ -341,22 +326,19 @@ def pst_search(graph, a: int, b: int, t_max: float,
         # strict rise on the left so a plateau yields one candidate, not one
         # per grid point (a constant curve would otherwise refine everywhere)
         if fids[i] > floor and fids[i] > fids[i - 1] and fids[i] >= fids[i + 1]:
-            candidates.append(_refine_maximum(fid, ts[i - 1], ts[i + 1]))
+            candidates.append(_refine_peak(fid_slope, ts[i - 1], ts[i + 1]))
     if fids[-1] > floor and fids[-1] > fids[-2]:
-        candidates.append(_refine_maximum(fid, ts[-2], ts[-1]))
+        candidates.append(_refine_peak(fid_slope, ts[-2], ts[-1]))
     if not candidates:
         candidates.append(float(ts[1 + int(np.argmax(fids[1:]))]))
 
     peaks = []
     for t in sorted(candidates):
-        if peaks and abs(t - peaks[-1][0]) < 1e-9:
-            continue
-        peaks.append((t, fid(t)))
-    if not peaks:
-        return []
+        if not peaks or t - peaks[-1] >= 1e-9:
+            peaks.append(t)
     verdicts = [
         _verdict(a, b, amplitude(graph, a, b, t, spectrum=spec), tol)
-        for t, f in peaks
+        for t in peaks
     ]
     hits = [v for v in verdicts if v.kind != "none"]
     if hits:

@@ -85,8 +85,21 @@ def test_pst_search_output(capsys, tmp_path):
     assert code == 0
     fields = out.splitlines()[0].split()
     assert len(fields) == 4 and fields[3] == "pst"
-    assert abs(float(fields[0]) - math.pi / 2) < 1e-6
+    assert abs(float(fields[0]) - math.pi / 2) < 1e-12
     assert float(fields[1]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_pst_search_golden_lines(capsys, tmp_path):
+    # the README's square example: transfer at the odd multiples of pi/2
+    code, out, err = run(capsys, "pst-search", write_square(tmp_path),
+                         "--from", "0", "--to", "2", "--t-max", "4*pi")
+    assert code == 0 and err == ""
+    assert out == (
+        "1.570796326795 1.000000000000 3.141592653590 pst\n"
+        "4.712388980385 1.000000000000 3.141592653590 pst\n"
+        "7.853981633974 1.000000000000 3.141592653590 pst\n"
+        "10.995574287564 1.000000000000 3.141592653590 pst\n"
+    )
 
 
 def test_pst_search_is_deterministic(capsys, tmp_path):
@@ -170,6 +183,27 @@ def test_exit_codes_for_walk(capsys, tmp_path):
     code, _, err = run(capsys, "walk", str(tmp_path / "missing.txt"),
                        "--from", "0", "--to", "1", "--time", "pi")
     assert code == 2
+
+
+def test_meaningless_numbers_fail_cleanly(capsys, tmp_path):
+    graph = tmp_path / "graph.txt"
+    # non-finite or repeated weights are parse errors
+    for text in ["n 2\n0 1 inf\n", "n 2\n0 1 nan\n", "n 2\n0 1 0\n0 1 5\n"]:
+        graph.write_text(text)
+        code, out, err = run(capsys, "walk", str(graph), "--from", "0",
+                             "--to", "1", "--time", "pi/2")
+        assert (code, out) == (2, "") and err.startswith("error:")
+    # a phase t * lambda beyond 1/eps has no correct digit: domain error
+    graph.write_text("n 2\n0 1 1e200\n")
+    code, out, err = run(capsys, "walk", str(graph), "--from", "0",
+                         "--to", "1", "--time", "pi/2")
+    assert (code, out) == (3, "") and "no correct digit" in err
+    k2 = write_k2(tmp_path)
+    for argv in (["walk", k2, "--time", "1e300"],
+                 ["pst-search", k2, "--t-max", "1e300"],
+                 ["fidelity-curve", k2, "--t-max", "1e300"]):
+        code, out, err = run(capsys, *argv, "--from", "0", "--to", "1")
+        assert (code, out) == (3, "") and "no correct digit" in err
 
 
 def test_quotient_outputs(capsys, tmp_path):

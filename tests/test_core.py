@@ -209,9 +209,13 @@ def test_read_errors(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError):
             read_signed_graph(bad)
-    bad.write_text("n 2\n0 1 x\n")
-    with pytest.raises(ValueError):
-        read_weighted_graph(bad)
+    for text in ["n 2\n0 1 x\n", "n 2\n0 1 nan\n", "n 2\n0 1 inf\n",
+                 "n 2\n0 1 -inf\n",
+                 # a repeated pair is caught even when its first weight is 0
+                 "n 2\n0 1 0\n0 1 5\n", "n 2\n0 1 0\n1 0 5\n"]:
+        bad.write_text(text)
+        with pytest.raises(ValueError):
+            read_weighted_graph(bad)
 
 
 def test_comments_and_blank_lines_are_ignored(tmp_path):

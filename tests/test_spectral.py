@@ -1,6 +1,7 @@
 """Eigensolver contract, walk amplitudes, transfer search and join formulas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.linalg
 from sgwalk import (
     MULTIGRAPH,
     CubelikeSpec,
+    WalkAmplitude,
     WeightedGraph,
     adjacency_matrix,
     cubelike,
@@ -62,6 +64,26 @@ def test_eigensolver_rejects_asymmetric():
         eig_sym(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         eig_sym(np.zeros((2, 3)))
+
+
+def test_eigensolver_rejects_non_finite_input():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_sym(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def test_eigensolver_contract_on_q7_without_warnings():
+    q7 = hypercube(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = eig_sym(q7)
+    a = q7.adjacency.astype(float)
+    v = spec.eigenvectors
+    assert np.abs((v * spec.eigenvalues) @ v.T - a).max() < 1e-10
+    assert np.abs(v.T @ v - np.eye(128)).max() < 1e-10
+    # spectrum of Q_d: d - 2k with multiplicity C(d, k)
+    expected = [7 - 2 * k for k in range(8) for _ in range(math.comb(7, k))]
+    assert np.abs(spec.eigenvalues - expected).max() < 1e-12
 
 
 def test_adjacency_matrix_accepts_graphs_and_arrays():
@@ -125,6 +147,25 @@ def test_fidelity_is_switching_invariant():
                    - amplitude(h, a, b, t).fidelity) < 1e-12
 
 
+def test_amplitudes_refuse_times_without_a_correct_phase_digit():
+    k2 = complete(2)
+    limit = 1.0 / np.finfo(float).eps
+    assert amplitude(k2, 0, 1, 0.99 * limit).fidelity <= 1.0
+    for t in (limit, -1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="no correct digit"):
+            amplitude(k2, 0, 1, t)
+        with pytest.raises(ValueError, match="no correct digit"):
+            amplitude_series(k2, 0, 1, [0.0, t])
+        with pytest.raises(ValueError, match="no correct digit"):
+            propagator(k2, t)
+    with pytest.raises(ValueError, match="no correct digit"):
+        pst_search(k2, 0, 1, 1e300)
+    # the limit scales with the spectrum: a huge weight refuses t = 1
+    heavy = WeightedGraph(2, np.array([[0.0, 1e200], [1e200, 0.0]]))
+    with pytest.raises(ValueError, match="no correct digit"):
+        amplitude(heavy, 0, 1, 1.0)
+
+
 def test_vertex_validation():
     g = cycle(4)
     with pytest.raises(ValueError):
@@ -156,6 +197,20 @@ def test_pst_search_finds_the_square_peak():
     assert len(hits) == 4
     spacing = np.diff([v.time for v in hits])
     assert np.abs(spacing - math.pi).max() < 1e-5
+
+
+def test_pst_search_times_are_exact():
+    # PST times are exact multiples of pi/2 here; the derivative root
+    # reproduces them to a few units in the last place
+    hits = pst_search(cycle(4), 0, 2, 4 * math.pi)
+    for k, hit in enumerate(hits):
+        assert abs(hit.time - (2 * k + 1) * math.pi / 2) < 4e-15
+    hits = pst_search(hypercube(7), 0, 127, math.pi)
+    assert len(hits) == 1 and hits[0].kind == "pst"
+    assert abs(hits[0].time - math.pi / 2) < 1e-15
+    # a curve still rising at t_max peaks at the end of the window
+    (best,) = pst_search(cycle(4), 0, 2, 1.5)
+    assert best.kind == "none" and best.time == 1.5
 
 
 def test_pst_search_reports_best_peak_when_nothing_transfers():
@@ -253,3 +308,10 @@ def test_amplitude_phase_convention():
     assert abs(amp.re) < 1e-12
     assert abs(amp.im + 1.0) < 1e-12
     assert abs(amp.phase + math.pi / 2) < 1e-12
+    # a negative real amplitude has phase pi, whatever the sign of the
+    # (rounding-sized) imaginary part
+    for im in (0.0, -0.0, 1e-17, -1e-17, -4e-16):
+        phase = WalkAmplitude(-1.0, im, 1.0, 0.0).phase
+        assert phase == pytest.approx(math.pi, abs=1e-15)
+    phase = WalkAmplitude(-1.0, -1e-9, 1.0, 0.0).phase
+    assert phase == pytest.approx(-math.pi + 1e-9)
