@@ -54,7 +54,7 @@ from .scenarios import (
     run_all_scenarios,
     run_scenario,
 )
-from .spectral import DEFAULT_TOL, amplitude, amplitude_series, eig_sym, pst_search
+from .spectral import DEFAULT_TOL, amplitude, amplitude_series, pst_search
 
 
 class UsageError(Exception):
@@ -163,10 +163,11 @@ def load_graph(path: str):
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as signed_error:
+        # either reader's error alone can point at a line the other accepts
         try:
             return read_weighted_graph(path)
-        except (OSError, ValueError):
-            raise UsageError(str(signed_error)) from None
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"{signed_error}; as a weighted file: {exc}") from None
 
 
 def load_signed_graph(path: str) -> SignedGraph:
@@ -310,15 +311,15 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _walk_amplitude(args: argparse.Namespace):
+def _walk_graph(args: argparse.Namespace):
     graph = load_graph(args.graph)
     require_vertex(graph, "from", args.src)
     require_vertex(graph, "to", args.dst)
-    return graph, parse_time_expression(args.time)
+    return graph
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
-    graph, t = _walk_amplitude(args)
+    graph, t = _walk_graph(args), parse_time_expression(args.time)
     try:
         amp = amplitude(graph, args.src, args.dst, t)
     except ValueError as exc:
@@ -349,9 +350,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
 
 
 def cmd_pst_search(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
-    require_vertex(graph, "from", args.src)
-    require_vertex(graph, "to", args.dst)
+    graph = _walk_graph(args)
     t_max = parse_time_expression(args.t_max)
     if t_max <= 0:
         raise UsageError("--t-max must be positive")
@@ -385,9 +384,7 @@ def cmd_pst_search(args: argparse.Namespace) -> int:
 
 
 def cmd_fidelity_curve(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
-    require_vertex(graph, "from", args.src)
-    require_vertex(graph, "to", args.dst)
+    graph = _walk_graph(args)
     t_max = parse_time_expression(args.t_max)
     if t_max <= 0:
         raise UsageError("--t-max must be positive")
@@ -582,21 +579,17 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
 # parser assembly
 
 
-def _vertex_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("graph", help="edge-list file")
-    parser.add_argument("--from", dest="src", type=int, required=True,
-                        help="start vertex")
-    parser.add_argument("--to", dest="dst", type=int, required=True,
-                        help="target vertex")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="fidelity tolerance for transfer verdicts")
-    common.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text", help="output format")
-    common.add_argument("--out", help="write output to this file instead of stdout")
+    # walk commands print tables of numbers, so only they offer csv
+    common, walk = (argparse.ArgumentParser(add_help=False) for _ in range(2))
+    for parent, formats in ((common, ("text", "json")),
+                            (walk, ("text", "json", "csv"))):
+        parent.add_argument("--format", choices=formats, default="text",
+                            help="output format")
+        parent.add_argument("--out", help="write output to this file instead of stdout")
+    walk.add_argument("graph", help="edge-list file")
+    walk.add_argument("--from", dest="src", type=int, required=True, help="start vertex")
+    walk.add_argument("--to", dest="dst", type=int, required=True, help="target vertex")
 
     parser = argparse.ArgumentParser(
         prog="sgwalk",
@@ -621,21 +614,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="join: sign of the cross edges")
     p.set_defaults(handler=cmd_construct)
 
-    p = sub.add_parser("walk", parents=[common],
+    p = sub.add_parser("walk", parents=[walk],
                        help="one transfer amplitude at one time")
-    _vertex_flags(p)
     p.add_argument("--time", required=True, help="time expression, e.g. pi/2")
     p.set_defaults(handler=cmd_walk)
 
-    p = sub.add_parser("pst-search", parents=[common],
+    p = sub.add_parser("pst-search", parents=[walk],
                        help="scan (0, t-max] for transfer or return peaks")
-    _vertex_flags(p)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="fidelity tolerance for transfer verdicts")
     p.add_argument("--t-max", required=True, help="scan horizon, e.g. 4*pi")
     p.set_defaults(handler=cmd_pst_search)
 
-    p = sub.add_parser("fidelity-curve", parents=[common],
+    p = sub.add_parser("fidelity-curve", parents=[walk],
                        help="sample the fidelity curve as CSV")
-    _vertex_flags(p)
     p.add_argument("--t-max", required=True, help="end of the time window")
     p.add_argument("--points", type=int, default=201,
                    help="number of samples over [0, t-max]")

@@ -126,9 +126,10 @@ class WeightedGraph:
         if w.shape != (self.n, self.n):
             raise ValueError(f"weights must have shape ({self.n}, {self.n})")
         scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-        if np.abs(w - w.T).max(initial=0.0) > 1e-12 * scale:
+        half = w / 2.0  # halved first: w + w.T and w - w.T overflow above ~9e307
+        if np.abs(half - half.T).max(initial=0.0) > 0.5e-12 * scale:
             raise ValueError("weights must be symmetric")
-        w = (w + w.T) / 2.0
+        w = half + half.T
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

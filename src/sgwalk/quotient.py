@@ -192,7 +192,10 @@ class QuotientGraph:
     profile: EquitableProfile
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        # a private copy: a view's writable base could change a cached spectrum
+        m = np.array(self.matrix, dtype=float)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:

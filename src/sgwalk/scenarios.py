@@ -322,18 +322,16 @@ def _signed_k8() -> SignedGraph:
 def _k8_signed() -> list:
     claims = []
     g = _signed_k8()
-    spec = eig_sym(g)
     target = np.array([5.0] + [1.0] * 4 + [-3.0] * 3)
     claims.append(_close("signed complete graph on 8 vertices (negative "
                          "antipodal matching): spectrum {5, 1^4, -3^3}",
-                         0.0, float(np.abs(spec.eigenvalues - target).max()),
+                         0.0, float(np.abs(eig_sym(g).eigenvalues - target).max()),
                          1e-9, "derived"))
-    fid_quarter = min(amplitude(g, u, (u + 4) % 8, math.pi / 4,
-                                spectrum=spec).fidelity
+    fid_quarter = min(amplitude(g, u, (u + 4) % 8, math.pi / 4).fidelity
                       for u in range(8))
     claims.append(_close("antipodal fidelity at t = pi/4 (every vertex)",
                          1.0, fid_quarter, FIDELITY_TOL, "derived"))
-    fid_half = amplitude(g, 0, 4, math.pi / 2, spectrum=spec).fidelity
+    fid_half = amplitude(g, 0, 4, math.pi / 2).fidelity
     claims.append(_close("antipodal fidelity at t = pi/2 vanishes",
                          0.0, fid_half, 1e-9, "derived"))
     claims.append(_refuted("claimed antipodal transfer time t = pi/2 "
@@ -347,8 +345,7 @@ def _cubelike_pst() -> list:
     g = cubelike(spec3)
     claims = [_yes("connection set {001, 010, 100} sums to 111",
                    spec3.delta == 7, "claimed", measured=f"{spec3.delta:03b}")]
-    spec = eig_sym(g)
-    fids = [amplitude(g, u, u ^ 7, math.pi / 2, spectrum=spec) for u in range(8)]
+    fids = [amplitude(g, u, u ^ 7, math.pi / 2) for u in range(8)]
     claims.append(_close("transfer u -> u xor 111 at t = pi/2 (worst vertex)",
                          1.0, min(a.fidelity for a in fids), FIDELITY_TOL,
                          "claimed"))
@@ -408,15 +405,14 @@ def _double_cover() -> list:
     claims.append(_close("cover precondition: cos(A t) has unit diagonal on "
                          "the negative layer at t = pi/2",
                          1.0, float(cos_diag.min()), 1e-10, "claimed"))
-    spec = eig_sym(cov)
     fid1 = min(amplitude(cov, cover_index(u, 1), cover_index(u ^ 7, 1),
-                         math.pi / 2, spectrum=spec).fidelity
+                         math.pi / 2).fidelity
                for u in range(8))
     claims.append(_close("16-vertex double cover: fidelity (u, 1) -> "
                          "(u xor 111, 1) at t = pi/2 (worst vertex)",
                          1.0, fid1, FIDELITY_TOL, "claimed"))
     fid0 = min(amplitude(cov, cover_index(u, 0), cover_index(u ^ 7, 0),
-                         math.pi / 2, spectrum=spec).fidelity
+                         math.pi / 2).fidelity
                for u in range(8))
     claims.append(_close("the same transfer holds on the other layer",
                          1.0, fid0, FIDELITY_TOL, "derived"))
@@ -553,7 +549,6 @@ def _ext_c4() -> list:
 def _ext_q3() -> list:
     q3 = hypercube(3)
     ext = exterior_power(q3, 2)
-    spec = eig_sym(ext)
     claims = [_yes("second power of the 3-cube has 28 vertices",
                    ext.n == 28, "derived", measured=str(ext.n))]
     worst = 1.0
@@ -564,16 +559,15 @@ def _ext_q3() -> list:
                 continue
             ra = subset_rank(tuple(sorted((u, v))), 8)
             rb = subset_rank(tuple(sorted((u ^ 7, v ^ 7))), 8)
-            worst = min(worst, amplitude(ext, ra, rb, math.pi / 2,
-                                         spectrum=spec).fidelity)
+            worst = min(worst, amplitude(ext, ra, rb, math.pi / 2).fidelity)
             count += 1
     claims.append(_close(f"pair transfer {{u,v}} -> {{u xor 111, v xor 111}} "
                          f"at t = pi/2 for all {count} disjoint antipodal "
                          f"pairs (worst case)", 1.0, worst, FIDELITY_TOL,
                          "derived"))
     fixed_dev = max(abs(amplitude(ext, subset_rank((u, u ^ 7), 8),
-                                  subset_rank((u, u ^ 7), 8), math.pi / 2,
-                                  spectrum=spec).value - 1.0)
+                                  subset_rank((u, u ^ 7), 8),
+                                  math.pi / 2).value - 1.0)
                     for u in range(8) if u < u ^ 7)
     claims.append(_close("the four self-antipodal pairs are fixed with "
                          "amplitude +1", 0.0, float(fixed_dev), 1e-9,

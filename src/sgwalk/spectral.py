@@ -10,17 +10,19 @@ which is how every amplitude here is evaluated.  Perfect state transfer
 reaches 1; periodicity is the same statement on the diagonal.
 
 Eigenproblems are solved by LAPACK (``numpy.linalg.eigh``) under an
-accuracy contract checked on every call: reconstruction and
-orthonormality residuals within 1e-10.  Transfer peaks are refined to a
-root of the analytic derivative of the fidelity, so PST times are exact
-to rounding.
+accuracy contract: reconstruction and orthonormality residuals within
+1e-10.  A graph value's spectrum is computed once, on first use, and
+kept until the graph is freed; only raw matrices are decomposed per call.
+Transfer peaks are refined to a root of the analytic derivative of the
+fidelity, so PST times are exact to rounding.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -105,14 +107,22 @@ class Spectrum:
         return pairs
 
 
+# graph -> Spectrum; graph values are read-only and hash by identity
+_SPECTRA: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def eig_sym(graph_or_matrix) -> Spectrum:
     """Spectral decomposition of a symmetric matrix (or a graph's adjacency).
 
     Deterministic for a fixed input; eigenvalues are sorted descending
-    with eigenvectors matched.  Raises ValueError if the input has a
-    non-finite entry or is not symmetric to 1e-12, and RuntimeError if
-    the accuracy contract fails.
+    with eigenvectors matched.  A graph value is decomposed once (later
+    calls return the same Spectrum), a raw matrix on every call.  Raises
+    ValueError on a non-finite entry or eigenvalue or an asymmetry beyond
+    1e-12, and RuntimeError if the accuracy contract fails.
     """
+    is_graph = hasattr(type(graph_or_matrix), "adjacency")  # without building it
+    if is_graph and graph_or_matrix in _SPECTRA:
+        return _SPECTRA[graph_or_matrix]
     A = adjacency_matrix(graph_or_matrix)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("eig_sym expects a square matrix")
@@ -122,6 +132,8 @@ def eig_sym(graph_or_matrix) -> Spectrum:
     if np.abs(A - A.T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     w, v = np.linalg.eigh(A)
+    if not np.isfinite(w).all():
+        raise ValueError("an eigenvalue overflows the float range")
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]
     recon = np.abs((v * w) @ v.T - A).max()
@@ -129,7 +141,10 @@ def eig_sym(graph_or_matrix) -> Spectrum:
     # negated comparisons so that a NaN residual fails the contract
     if not (recon <= 1e-10 * scale and orth <= 1e-10):
         raise RuntimeError("eigendecomposition failed its accuracy contract")
-    return Spectrum(w, v, scale)
+    spec = Spectrum(w, v, scale)
+    if is_graph:
+        _SPECTRA[graph_or_matrix] = spec
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -185,33 +200,34 @@ def _check_phase_range(spec: Spectrum, times) -> None:
                          "the walk phase has no correct digit")
 
 
-def amplitude(graph, a: int, b: int, t: float,
-              spectrum: Optional[Spectrum] = None) -> WalkAmplitude:
+def _weights(spec: Spectrum, a: int, b: int) -> np.ndarray:
+    """Spectral weights v_b(lambda) * v_a(lambda) of the walk from a to b."""
+    a = _check_vertex("a", a, spec.n)
+    b = _check_vertex("b", b, spec.n)
+    return spec.eigenvectors[b, :] * spec.eigenvectors[a, :]
+
+
+def _transfer(spec: Spectrum, a: int, b: int, times) -> np.ndarray:
+    """<b| U(t) |a> for every t in ``times``: exp(-i t (x) lambda) @ weights."""
+    weights = _weights(spec, a, b)
+    _check_phase_range(spec, times)
+    return np.exp(-1j * np.outer(times, spec.eigenvalues)) @ weights
+
+
+def amplitude(graph, a: int, b: int, t: float) -> WalkAmplitude:
     """Transfer amplitude from vertex a to vertex b at time t."""
-    spec = spectrum if spectrum is not None else eig_sym(graph)
-    a = _check_vertex("a", a, spec.n)
-    b = _check_vertex("b", b, spec.n)
-    _check_phase_range(spec, float(t))
-    weights = spec.eigenvectors[b, :] * spec.eigenvectors[a, :]
-    z = complex(np.sum(np.exp(-1j * spec.eigenvalues * float(t)) * weights))
-    return WalkAmplitude.from_complex(z, float(t))
+    t = float(t)
+    return WalkAmplitude.from_complex(_transfer(eig_sym(graph), a, b, [t])[0], t)
 
 
-def amplitude_series(graph, a: int, b: int, times,
-                     spectrum: Optional[Spectrum] = None) -> np.ndarray:
+def amplitude_series(graph, a: int, b: int, times) -> np.ndarray:
     """Amplitudes <b|U(t)|a> for an array of times (complex ndarray)."""
-    spec = spectrum if spectrum is not None else eig_sym(graph)
-    a = _check_vertex("a", a, spec.n)
-    b = _check_vertex("b", b, spec.n)
-    ts = np.asarray(times, dtype=float)
-    _check_phase_range(spec, ts)
-    weights = spec.eigenvectors[b, :] * spec.eigenvectors[a, :]
-    return np.exp(-1j * np.outer(ts, spec.eigenvalues)) @ weights
+    return _transfer(eig_sym(graph), a, b, times)
 
 
-def propagator(graph, t: float, spectrum: Optional[Spectrum] = None) -> np.ndarray:
+def propagator(graph, t: float) -> np.ndarray:
     """Full walk matrix U(t) = exp(-i t A)."""
-    spec = spectrum if spectrum is not None else eig_sym(graph)
+    spec = eig_sym(graph)
     _check_phase_range(spec, float(t))
     phases = np.exp(-1j * spec.eigenvalues * float(t))
     return (spec.eigenvectors * phases) @ spec.eigenvectors.T
@@ -241,27 +257,22 @@ def _verdict(a: int, b: int, amp: WalkAmplitude, tol: float) -> PstVerdict:
     return PstVerdict(kind, a, b, amp.time, amp.fidelity, amp.phase)
 
 
-def is_pst(graph, a: int, b: int, t: float, tol: float = DEFAULT_TOL,
-           spectrum: Optional[Spectrum] = None) -> PstVerdict:
+def is_pst(graph, a: int, b: int, t: float, tol: float = DEFAULT_TOL) -> PstVerdict:
     """Check perfect state transfer a -> b at time t (a and b distinct)."""
     if int(a) == int(b):
         raise ValueError("is_pst needs distinct vertices; use is_periodic_at")
-    return _verdict(int(a), int(b), amplitude(graph, a, b, t, spectrum), tol)
+    return _verdict(int(a), int(b), amplitude(graph, a, b, t), tol)
 
 
-def is_periodic_at(graph, a: int, t: float, tol: float = DEFAULT_TOL,
-                   spectrum: Optional[Spectrum] = None) -> PstVerdict:
+def is_periodic_at(graph, a: int, t: float, tol: float = DEFAULT_TOL) -> PstVerdict:
     """Check periodicity at vertex a at time t."""
-    return _verdict(int(a), int(a), amplitude(graph, a, a, t, spectrum), tol)
+    return _verdict(int(a), int(a), amplitude(graph, a, a, t), tol)
 
 
 def is_periodic(graph, t: float, tol: float = DEFAULT_TOL) -> bool:
     """Whole-graph periodicity: every vertex returns at time t."""
-    spec = eig_sym(graph)
-    return all(
-        is_periodic_at(graph, a, t, tol, spectrum=spec).kind == "periodic"
-        for a in range(spec.n)
-    )
+    return all(is_periodic_at(graph, a, t, tol).kind == "periodic"
+               for a in range(eig_sym(graph).n))
 
 
 def _refine_peak(fid_slope, lo: float, hi: float) -> float:
@@ -302,14 +313,13 @@ def pst_search(graph, a: int, b: int, t_max: float,
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     spec = eig_sym(graph)
-    a = _check_vertex("a", a, spec.n)
-    b = _check_vertex("b", b, spec.n)
-    _check_phase_range(spec, t_max)
+    weights = _weights(spec, a, b)
+    a, b = int(a), int(b)
+    _check_phase_range(spec, t_max)  # before a horizon like 1e300 sizes the grid
     steps = max(2, int(math.ceil(t_max / grid_step)))
     ts = np.linspace(0.0, t_max, steps + 1)
-    fids = np.abs(amplitude_series(graph, a, b, ts, spectrum=spec)) ** 2
+    fids = np.abs(_transfer(spec, a, b, ts)) ** 2
 
-    weights = spec.eigenvectors[b, :] * spec.eigenvectors[a, :]
     lambda_weights = spec.eigenvalues * weights
 
     def fid_slope(t: float):
@@ -337,14 +347,11 @@ def pst_search(graph, a: int, b: int, t_max: float,
         if not peaks or t - peaks[-1] >= 1e-9:
             peaks.append(t)
     verdicts = [
-        _verdict(a, b, amplitude(graph, a, b, t, spectrum=spec), tol)
-        for t in peaks
+        _verdict(a, b, WalkAmplitude.from_complex(z, t), tol)
+        for t, z in zip(peaks, _transfer(spec, a, b, peaks))
     ]
     hits = [v for v in verdicts if v.kind != "none"]
-    if hits:
-        return hits
-    best = max(verdicts, key=lambda v: v.fidelity)
-    return [best]
+    return hits or [max(verdicts, key=lambda v: v.fidelity)]
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +429,6 @@ def signed_join_amplitude(g1: SignedGraph, g2: SignedGraph, a: int, b: int,
     stats1, stats2 = regular_stats(g1), regular_stats(g2)
     if not is_connected(g1):
         raise ValueError("the first join factor must be connected")
-    a = _check_vertex("a", a, g1.n)
-    b = _check_vertex("b", b, g1.n)
     amp_g1 = amplitude(g1, a, b, -float(t))
     return join_amplitude_formula(amp_g1, stats1, stats2, float(t))
 
@@ -492,6 +497,8 @@ def decomposition_transfer(g: SignedGraph, h: SignedGraph, a: int, b: int,
     spec_g, spec_h = eig_sym(g), eig_sym(h)
     a = _check_vertex("a", a, g.n)
     b = _check_vertex("b", b, g.n)
+    _check_phase_range(spec_g, float(t))
+    _check_phase_range(spec_h, float(t))
     vh, wh = spec_h.eigenvectors, spec_h.eigenvalues
     psi = (vh * np.exp(+1j * wh * float(t))) @ vh[a, :]
     vg, wg = spec_g.eigenvectors, spec_g.eigenvalues

@@ -187,23 +187,59 @@ def test_exit_codes_for_walk(capsys, tmp_path):
 
 def test_meaningless_numbers_fail_cleanly(capsys, tmp_path):
     graph = tmp_path / "graph.txt"
-    # non-finite or repeated weights are parse errors
-    for text in ["n 2\n0 1 inf\n", "n 2\n0 1 nan\n", "n 2\n0 1 0\n0 1 5\n"]:
+    # non-finite or repeated weights are parse errors, named as such
+    for text, cause in [("n 2\n0 1 inf\n", "'inf' is not finite"),
+                        ("n 2\n0 1 nan\n", "'nan' is not finite"),
+                        ("n 2\n0 1 0\n0 1 5\n", "duplicate entry for (0, 1)"),
+                        ("n 2\n0 1 0.5\n0 1 0.5\n", "duplicate entry for (0, 1)"),
+                        # legal parallel signed edges: the self-loop is the fault
+                        ("n 3\n0 1 1\n0 1 1\n2 2 1\n", "self-loop at vertex 2"),
+                        ("n 2\n0 1 1\n0 1 1\n0 1 2\n", "got '2'")]:
         graph.write_text(text)
         code, out, err = run(capsys, "walk", str(graph), "--from", "0",
                              "--to", "1", "--time", "pi/2")
         assert (code, out) == (2, "") and err.startswith("error:")
+        assert cause in err
     # a phase t * lambda beyond 1/eps has no correct digit: domain error
     graph.write_text("n 2\n0 1 1e200\n")
     code, out, err = run(capsys, "walk", str(graph), "--from", "0",
                          "--to", "1", "--time", "pi/2")
     assert (code, out) == (3, "") and "no correct digit" in err
+    # finite weights whose top eigenvalue (2e308) overflows: domain error,
+    # with no overflow warning on the way
+    graph.write_text("n 3\n0 1 1e308\n1 2 1e308\n0 2 1e308\n")
+    code, out, err = run(capsys, "walk", str(graph), "--from", "0",
+                         "--to", "1", "--time", "pi/2")
+    assert (code, out) == (3, "") and "overflows" in err
     k2 = write_k2(tmp_path)
     for argv in (["walk", k2, "--time", "1e300"],
                  ["pst-search", k2, "--t-max", "1e300"],
                  ["fidelity-curve", k2, "--t-max", "1e300"]):
         code, out, err = run(capsys, *argv, "--from", "0", "--to", "1")
         assert (code, out) == (3, "") and "no correct digit" in err
+
+
+def test_tol_is_a_pst_search_flag_only(capsys, tmp_path):
+    k2 = write_k2(tmp_path)
+    for argv in (["balance", k2], ["walk", k2, "--from", "0", "--to", "1",
+                                   "--time", "pi"], ["verify-all"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--tol", "5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    # pst-search honours it: no fidelity reaches 1 - (-1), so K2's peak is "none"
+    code, out, _ = run(capsys, "pst-search", k2, "--from", "0", "--to", "1",
+                       "--t-max", "pi", "--tol", "-1")
+    assert code == 0 and out.split()[-1] == "none"
+
+
+def test_csv_is_offered_only_for_tables(capsys, tmp_path):
+    k2 = write_k2(tmp_path)
+    for argv in (["balance", k2], ["exterior", k2, "--k", "1"], ["verify-all"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--format", "csv"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_quotient_outputs(capsys, tmp_path):

@@ -82,8 +82,9 @@ def test_input_validation():
         build_signed_graph(3, [(0, 1, 2)])
     with pytest.raises(ValueError):
         from_net_matrix(np.array([[0, 1], [2, 0]]))
-    with pytest.raises(ValueError):
-        WeightedGraph(2, np.array([[0.0, 1.0], [2.0, 0.0]]))
+    for asymmetric in ([[0.0, 1.0], [2.0, 0.0]], [[0.0, 1e308], [-1e308, 0.0]]):
+        with pytest.raises(ValueError, match="symmetric"):
+            WeightedGraph(2, np.array(asymmetric))
 
 
 def test_from_net_matrix_splits_layers():

@@ -1,5 +1,6 @@
 """Equitable partitions, quotient matrices and walk compression."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -76,6 +77,13 @@ def test_quotient_matrix_of_the_edge_join():
     small = np.linalg.eigvalsh(quot.matrix)
     for w in small:
         assert np.min(np.abs(full - w)) < 1e-9
+    # the value keeps its own matrix: writing through a view's base leaves
+    # it (and so its once-computed spectrum) unchanged
+    base = np.array(expected)
+    view_quot = dataclasses.replace(quot, matrix=base[:, :])
+    base[0, 0] = 99.0
+    assert np.array_equal(view_quot.matrix, expected)
+    assert not view_quot.matrix.flags.writeable
 
 
 def test_quotient_identities():

@@ -1,12 +1,17 @@
 """Eigensolver contract, walk amplitudes, transfer search and join formulas."""
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sgwalk import spectral
 from sgwalk import (
     MULTIGRAPH,
     CubelikeSpec,
@@ -86,6 +91,33 @@ def test_eigensolver_contract_on_q7_without_warnings():
     assert np.abs(spec.eigenvalues - expected).max() < 1e-12
 
 
+def test_graph_spectrum_is_computed_once():
+    g = cycle(5)
+    assert eig_sym(g) is eig_sym(g)
+    # equal matrices in separate graph values get separate spectra
+    twin = cycle(5)
+    assert eig_sym(twin) is not eig_sym(g)
+    # raw matrices are decomposed on every call
+    assert eig_sym(g.adjacency) is not eig_sym(g.adjacency)
+    # a failed decomposition is not kept: a finite triangle whose top
+    # eigenvalue 2e308 overflows is refused every time
+    heavy = WeightedGraph(3, np.full((3, 3), 1e308) - np.diag([1e308] * 3))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflows"):
+            eig_sym(heavy)
+    assert heavy not in spectral._SPECTRA
+
+
+def test_spectrum_is_freed_with_its_graph():
+    g = cycle(6)
+    spec = eig_sym(g)
+    alive = weakref.ref(g)
+    del g
+    gc.collect()
+    assert alive() is None
+    assert all(kept is not spec for kept in spectral._SPECTRA.values())
+
+
 def test_adjacency_matrix_accepts_graphs_and_arrays():
     g = cycle(4)
     assert np.array_equal(adjacency_matrix(g), g.adjacency)
@@ -132,6 +164,25 @@ def test_amplitude_symmetries():
         series = amplitude_series(g, int(a), int(b), [0.0, t])
         assert abs(series[0] - (1.0 if a == b else 0.0)) < 1e-12
         assert abs(series[1] - fwd.value) < 1e-12
+
+
+@st.composite
+def signed_walks(draw):
+    n = draw(st.integers(1, 9))
+    signs = draw(st.lists(st.integers(-1, 1), min_size=n * n, max_size=n * n))
+    net = np.triu(np.array(signs).reshape(n, n), k=1)
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    t = draw(st.floats(-20.0, 20.0))
+    return from_net_matrix(net + net.T), a, b, t
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(signed_walks())
+def test_amplitude_routes_agree(walk):
+    g, a, b, t = walk
+    z = amplitude(g, a, b, t).value
+    assert abs(amplitude_series(g, a, b, [t])[0] - z) < 1e-12
+    assert abs(propagator(g, t)[b, a] - z) < 1e-12
 
 
 def test_fidelity_is_switching_invariant():
