@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    BalanceVerdict,
     SignedGraph,
     balance_verdict,
     format_edge_list,
+    graph_edges,
     read_signed_graph,
     read_weighted_graph,
 )
@@ -216,6 +216,11 @@ def emit_json(args: argparse.Namespace, payload) -> None:
     emit(args, json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _json_number(x) -> float:
+    """``x`` rounded to the 12 printed decimals, with -0.0 mapped to 0.0."""
+    return round(float(x), 12) + 0.0
+
+
 def graph_document(graph, labels=None) -> str:
     """Edge list, with optional '# state <i> = ...' label comments."""
     lines = [format_edge_list(graph).rstrip("\n")]
@@ -226,22 +231,9 @@ def graph_document(graph, labels=None) -> str:
 
 
 def graph_payload(graph, labels=None) -> dict:
-    payload: dict = {"n": graph.n}
-    if isinstance(graph, SignedGraph):
-        payload["edges"] = [
-            [u, v, s]
-            for u in range(graph.n)
-            for v in range(u + 1, graph.n)
-            for s in [1] * int(graph.pos[u, v]) + [-1] * int(graph.neg[u, v])
-        ]
-    else:
-        w = graph.adjacency
-        payload["edges"] = [
-            [u, v, round(float(w[u, v]), 12)]
-            for u in range(graph.n)
-            for v in range(u, graph.n)
-            if w[u, v] != 0.0
-        ]
+    value = int if isinstance(graph, SignedGraph) else _json_number
+    payload: dict = {"n": graph.n,
+                     "edges": [[u, v, value(w)] for u, v, w in graph_edges(graph)]}
     if labels is not None:
         payload["states"] = [list(label) for label in labels]
     return payload
@@ -325,14 +317,16 @@ def cmd_walk(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise DomainError(str(exc)) from None
     if args.format == "json":
+        re, im = _json_number(amp.re), _json_number(amp.im)
         emit_json(
             args,
             {
-                "time": round(t, 12),
-                "re": round(amp.re, 12),
-                "im": round(amp.im, 12),
-                "fidelity": round(amp.fidelity, 12),
-                "phase": round(amp.phase, 12),
+                "time": _json_number(t),
+                "re": re,
+                "im": im,
+                "fidelity": _json_number(amp.fidelity),
+                # a zero amplitude has no phase: atan2 of rounding residues
+                "phase": _json_number(amp.phase) if re or im else 0.0,
             },
         )
     elif args.format == "csv":
@@ -363,9 +357,9 @@ def cmd_pst_search(args: argparse.Namespace) -> int:
             args,
             [
                 {
-                    "t": round(v.time, 12),
-                    "fidelity": round(v.fidelity, 12),
-                    "phase": round(v.phase, 12),
+                    "t": _json_number(v.time),
+                    "fidelity": _json_number(v.fidelity),
+                    "phase": _json_number(v.phase),
                     "kind": v.kind,
                 }
                 for v in verdicts
@@ -400,10 +394,10 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
             args,
             [
                 {
-                    "t": round(float(t), 12),
-                    "re": round(float(z.real), 12),
-                    "im": round(float(z.imag), 12),
-                    "fidelity": round(float(abs(z) ** 2), 12),
+                    "t": _json_number(t),
+                    "re": _json_number(z.real),
+                    "im": _json_number(z.imag),
+                    "fidelity": _json_number(abs(z) ** 2),
                 }
                 for t, z in zip(ts, amps)
             ],
@@ -447,9 +441,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
             args,
             {
                 "cells": [list(cell) for cell in partition.cells],
-                "matrix": [
-                    [round(float(x), 12) for x in row] for row in quot.matrix
-                ],
+                "matrix": [[_json_number(x) for x in row] for row in quot.matrix],
                 "d_plus": [[int(x) for x in row] for row in quot.profile.d_plus],
                 "d_minus": [[int(x) for x in row] for row in quot.profile.d_minus],
             },
@@ -486,24 +478,18 @@ def cmd_boson(args: argparse.Namespace) -> int:
 def cmd_double_cover(args: argparse.Namespace) -> int:
     graph = load_signed_graph(args.graph)
     cover = double_cover(graph)
-    labels = []
-    for index in range(cover.n):
-        vertex = cover_vertex(index)
-        labels.append(f"(base {vertex.base}, layer {vertex.layer})")
+    labels = [f"(base {v.base}, layer {v.layer})" for v in map(cover_vertex, range(cover.n))]
     emit_graph(args, cover, labels)
     return 0
 
 
-def _witness_tokens(verdict: BalanceVerdict):
-    if verdict.witness is None:
-        return None
-    return [int(x) for x in verdict.witness]
-
-
 def cmd_balance(args: argparse.Namespace) -> int:
     graph = load_signed_graph(args.graph)
-    verdict = balance_verdict(graph)
-    witness = _witness_tokens(verdict)
+    try:
+        verdict = balance_verdict(graph)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
+    witness = None if verdict.witness is None else verdict.witness.tolist()
     if args.format == "json":
         emit_json(
             args,

@@ -78,16 +78,16 @@ class SignedGraph:
         object.__setattr__(self, "pos", _own_int_matrix(self.pos, "pos", self.n))
         object.__setattr__(self, "neg", _own_int_matrix(self.neg, "neg", self.n))
         for name, m in (("pos", self.pos), ("neg", self.neg)):
-            if not np.array_equal(m, m.T):
+            if (m != m.T).any():
                 raise ValueError(f"{name} matrix must be symmetric")
-            if np.any(np.diagonal(m) != 0):
+            if m.diagonal().any():
                 raise ValueError("self-loops are not allowed")
-            if np.any(m < 0):
+            if m.min() < 0:
                 raise ValueError(f"{name} multiplicities must be non-negative")
         if self.mode == SIMPLE:
-            if np.any(self.pos > 1) or np.any(self.neg > 1):
+            if max(self.pos.max(), self.neg.max()) > 1:
                 raise ValueError("simple mode forbids parallel edges")
-            if np.any((self.pos > 0) & (self.neg > 0)):
+            if ((self.pos > 0) & (self.neg > 0)).any():
                 raise ValueError(
                     "simple mode forbids a positive and a negative edge on the same pair"
                 )
@@ -182,12 +182,12 @@ def from_net_matrix(matrix, mode: Optional[str] = None) -> SignedGraph:
     if not np.issubdtype(a.dtype, np.integer):
         if not np.all(a == np.rint(a)):
             raise ValueError("net matrix must have integer entries")
-    a = np.array(a, dtype=np.int64)
+    a = a.astype(np.int64, copy=False)
     if mode is None:
-        mode = SIMPLE if np.abs(a).max(initial=0) <= 1 else MULTIGRAPH
-    pos = np.where(a > 0, a, 0)
-    neg = np.where(a < 0, -a, 0)
-    return SignedGraph(n, pos, neg, mode)
+        mode = SIMPLE if max(a.max(initial=0), -a.min(initial=0)) <= 1 else MULTIGRAPH
+    neg = np.minimum(a, 0)
+    np.negative(neg, out=neg)
+    return SignedGraph(n, np.maximum(a, 0), neg, mode)
 
 
 def _require_simple(g: SignedGraph, op: str) -> None:
@@ -346,27 +346,27 @@ def signed_union(a: SignedGraph, b: SignedGraph, sign_of_b: int = 1,
 # graphs may carry diagonal lines "u u w".
 
 
-def graph_edges(g: SignedGraph) -> Iterator[tuple]:
-    """Yield (u, v, sign) with u < v, repeating parallel edges."""
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            for _ in range(int(g.pos[u, v])):
-                yield (u, v, 1)
-            for _ in range(int(g.neg[u, v])):
-                yield (u, v, -1)
+def graph_edges(g) -> Iterator[tuple]:
+    """Yield the edge lines of a graph as plain numbers, sorted by (u, v).
+
+    Signed graphs give (u, v, sign) with u < v, parallel edges repeated
+    and +1 before -1; weighted graphs give (u, v, weight) with u <= v,
+    diagonal entries included.
+    """
+    if isinstance(g, SignedGraph):
+        uu, vv = np.nonzero(np.triu(g.support))
+        for u, v, p, m in zip(uu.tolist(), vv.tolist(),
+                              g.pos[uu, vv].tolist(), g.neg[uu, vv].tolist()):
+            yield from [(u, v, 1)] * p + [(u, v, -1)] * m
+    else:
+        w = g.adjacency
+        uu, vv = np.nonzero(np.triu(w))
+        yield from zip(uu.tolist(), vv.tolist(), w[uu, vv].tolist())
 
 
 def format_edge_list(g) -> str:
-    lines = [f"n {g.n}"]
-    if isinstance(g, SignedGraph):
-        for u, v, s in graph_edges(g):
-            lines.append(f"{u} {v} {'+1' if s == 1 else '-1'}")
-    else:
-        w = g.adjacency
-        for u in range(g.n):
-            for v in range(u, g.n):
-                if w[u, v] != 0.0:
-                    lines.append(f"{u} {v} {w[u, v]:.15g}")
+    spec = "+d" if isinstance(g, SignedGraph) else ".15g"
+    lines = [f"n {g.n}"] + [f"{u} {v} {w:{spec}}" for u, v, w in graph_edges(g)]
     return "\n".join(lines) + "\n"
 
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import SIMPLE, SignedGraph, WeightedGraph, build_signed_graph
+from .core import SIMPLE, SignedGraph, WeightedGraph, from_net_matrix
 from .spectral import PstVerdict, is_pst
 
 __all__ = [
@@ -55,18 +55,17 @@ def k_subsets(n: int, k: int) -> list:
 
 
 def subset_rank(subset: Sequence[int], n: int) -> int:
-    """Lexicographic rank of a sorted k-subset among all k-subsets."""
+    """Lexicographic rank of a sorted k-subset of 0..n-1 among all k-subsets.
+
+    Closed form: C(n, k) - 1 - sum_i C(n - 1 - s_i, k - i), 0-based i.
+    """
     s = tuple(subset)
     if list(s) != sorted(set(s)):
         raise ValueError(f"{subset!r} is not a sorted duplicate-free subset")
+    if s and not (0 <= s[0] and s[-1] < n):
+        raise ValueError(f"{subset!r} has a vertex outside 0..{n - 1}")
     k = len(s)
-    rank = 0
-    prev = -1
-    for i, v in enumerate(s):
-        for w in range(prev + 1, v):
-            rank += math.comb(n - 1 - w, k - 1 - i)
-        prev = v
-    return rank
+    return math.comb(n, k) - 1 - sum(math.comb(n - 1 - v, k - i) for i, v in enumerate(s))
 
 
 def subset_unrank(rank: int, n: int, k: int) -> tuple:
@@ -96,11 +95,15 @@ def multiset_states(n: int, k: int) -> list:
 
 
 def multiset_rank(state: Sequence[int], n: int) -> int:
-    states = multiset_states(n, len(state))
-    try:
-        return states.index(tuple(sorted(int(v) for v in state)))
-    except ValueError:
-        raise ValueError(f"{state!r} is not a multiset over 0..{n - 1}") from None
+    """Lexicographic rank of a k-multiset among all k-multisets of 0..n-1.
+
+    The sorted multiset m maps to the k-subset (m_i + i) of 0..n+k-2, a
+    bijection that keeps the lexicographic order.
+    """
+    m = sorted(int(v) for v in state)
+    if not m or m[0] < 0 or m[-1] >= n:
+        raise ValueError(f"{state!r} is not a multiset over 0..{n - 1}")
+    return subset_rank([v + i for i, v in enumerate(m)], n + len(m) - 1)
 
 
 def _tuple_index(t: Sequence[int], n: int) -> int:
@@ -120,11 +123,12 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _check_power_size(n: int, k: int) -> None:
-    if n ** k > MAX_POWER_STATES:
+def _check_states(label: str, count: int) -> int:
+    if count > MAX_POWER_STATES:
         raise ValueError(
-            f"n^k = {n ** k} exceeds the desk-scale cap of {MAX_POWER_STATES} states"
+            f"{label} = {count} exceeds the desk-scale cap of {MAX_POWER_STATES} states"
         )
+    return count
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +152,7 @@ class Antisymmetrizer:
 
 
 def antisymmetrizer(n: int, k: int) -> Antisymmetrizer:
-    _check_power_size(n, k)
+    _check_states("n^k", n ** k)
     subsets = k_subsets(n, k)
     norm = 1.0 / math.sqrt(math.factorial(k))
     mat = np.zeros((n ** k, len(subsets)))
@@ -165,7 +169,7 @@ def symmetrizer(n: int, k: int) -> np.ndarray:
     Column for a multiset is the normalised indicator of its orbit of
     distinct arrangements.
     """
-    _check_power_size(n, k)
+    _check_states("n^k", n ** k)
     states = multiset_states(n, k)
     mat = np.zeros((n ** k, len(states)))
     for col, state in enumerate(states):
@@ -183,7 +187,7 @@ def _require_unsigned(g: SignedGraph, op: str) -> None:
 
 def cartesian_power_matrix(g: SignedGraph, k: int) -> np.ndarray:
     """Adjacency of the k-fold Cartesian power as a Kronecker sum."""
-    _check_power_size(g.n, k)
+    _check_states("n^k", g.n ** k)
     n = g.n
     adj = g.adjacency
     out = np.zeros((n ** k, n ** k), dtype=np.int64)
@@ -195,6 +199,18 @@ def cartesian_power_matrix(g: SignedGraph, k: int) -> np.ndarray:
     return out
 
 
+def _lex_terms(n: int, k: int):
+    """The summands C(n - 1 - a, k - q) of :func:`subset_rank`'s closed form
+    for arrays of elements a at positions q, zero where n - 1 - a < k - q.
+    They are read from a table of C(d + j, j) at d = n - 1 - a - (k - q) and
+    j = k - q, whose entries never exceed C(n, k)."""
+    table = np.zeros((n - k + 2, k + 1), dtype=np.int64)  # rows 0, 1: d = -2, -1
+    table[2:, 0] = 1
+    for j in range(1, k + 1):
+        table[2:, j] = np.cumsum(table[2:, j - 1])  # hockey-stick identity
+    return lambda a, q: table[n - k - a + q + 1, k - q]
+
+
 def exterior_power(g: SignedGraph, k: int) -> SignedGraph:
     """Signed k-th exterior power on the k-subsets of the vertices.
 
@@ -204,30 +220,35 @@ def exterior_power(g: SignedGraph, k: int) -> SignedGraph:
     permutation between the two sorted tuples).
     """
     _require_unsigned(g, "exterior_power")
-    subsets = k_subsets(g.n, k)
-    index = {s: i for i, s in enumerate(subsets)}
-    edges = []
-    for a_set in subsets:
-        members = set(a_set)
-        for r, u in enumerate(a_set):
-            for v in np.nonzero(g.pos[u])[0]:
-                v = int(v)
-                if v in members:
-                    continue
-                b_set = tuple(sorted(members - {u} | {v}))
-                ia, ib = index[a_set], index[b_set]
-                if ia < ib:
-                    s = b_set.index(v)
-                    sign = -1 if (r + s) % 2 else 1  # (-1)^(r+s), positions 1-based
-                    edges.append((ia, ib, sign))
-    return build_signed_graph(len(subsets), edges)
+    n = g.n
+    count = _check_states("C(n, k)", math.comb(n, k))  # before any allocation
+    subsets = np.array(k_subsets(n, k), dtype=np.int64)
+    member = np.zeros((count, n), dtype=bool)
+    member[np.arange(count)[:, None], subsets] = True
+    at_or_below = np.cumsum(member, axis=1)  # members <= v
+    term, q = _lex_terms(n, k), np.arange(k)
+    own = term(subsets, q)
+    # Moving a_r up to v shifts a_{r+1} .. a_s down one position; shift[:, s]
+    # - shift[:, r] is what that adds to the rank of A.
+    shift = np.zeros((count, k), dtype=np.int64)
+    shift[:, 1:] = np.cumsum(own[:, 1:] - term(subsets[:, 1:], q[:-1]), axis=1)
+    rank = count - 1 - own.sum(axis=1)
+    net = np.zeros((count, count), dtype=np.int64)
+    for r in range(k):
+        u = subsets[:, r]
+        # only v > u: then B ranks after A, and each edge is met from A once
+        ia, v = np.nonzero((g.pos[u] > 0) & (np.arange(n) > u[:, None]) & ~member)
+        s = at_or_below[ia, v] - 1  # position of v in B
+        ib = (rank + own[:, r] - shift[:, r])[ia] + shift[ia, s] - term(v, s)
+        net[ia, ib] = net[ib, ia] = 1 - 2 * ((r + s) % 2)
+    return from_net_matrix(net)
 
 
 def exterior_power_oracle(g: SignedGraph, k: int) -> WeightedGraph:
     """Independent route to the exterior power: conjugate the Cartesian
     power by the antisymmetrizer and round to exact {-1, 0, +1} entries."""
     _require_unsigned(g, "exterior_power_oracle")
-    _check_power_size(g.n, k)
+    _check_states("n^k", g.n ** k)
     alt = antisymmetrizer(g.n, k).matrix
     box = cartesian_power_matrix(g, k).astype(float)
     w = alt.T @ box @ alt
@@ -250,7 +271,7 @@ def boson_quotient(g: SignedGraph, k: int) -> WeightedGraph:
     """Weighted walk of k bosons: the Cartesian power conjugated by the
     multiset symmetrizer.  States are the k-multisets in lex order."""
     _require_unsigned(g, "boson_quotient")
-    _check_power_size(g.n, k)
+    _check_states("n^k", g.n ** k)
     sym = symmetrizer(g.n, k)
     box = cartesian_power_matrix(g, k).astype(float)
     return WeightedGraph(sym.shape[1], sym.T @ box @ sym)

@@ -151,6 +151,13 @@ def _indicator(p: Partition) -> np.ndarray:
     return mat
 
 
+def _cell_counts(g: SignedGraph, p: Partition) -> np.ndarray:
+    """Row v: the positive, then the negative neighbour counts of v in
+    each cell of ``p`` (shape n x 2m)."""
+    ind = _indicator(p)
+    return np.hstack([g.pos @ ind, g.neg @ ind])
+
+
 def is_equitable(g: SignedGraph, p: Partition):
     """Check equitability for both edge layers at once.
 
@@ -158,19 +165,12 @@ def is_equitable(g: SignedGraph, p: Partition):
     """
     if p.n != g.n:
         raise ValueError("partition size does not match the graph")
-    ind = _indicator(p)
-    counts_pos = g.pos @ ind
-    counts_neg = g.neg @ ind
-    d_plus = np.zeros((p.m, p.m), dtype=np.int64)
-    d_minus = np.zeros((p.m, p.m), dtype=np.int64)
-    for j, cell in enumerate(p.cells):
-        rows_pos = counts_pos[list(cell)]
-        rows_neg = counts_neg[list(cell)]
-        if np.any(rows_pos != rows_pos[0]) or np.any(rows_neg != rows_neg[0]):
-            return False, None
-        d_plus[j] = rows_pos[0]
-        d_minus[j] = rows_neg[0]
-    return True, EquitableProfile(d_plus, d_minus)
+    counts = _cell_counts(g, p)
+    _, first = np.unique(p.cell_of, return_index=True)  # first vertex of each cell
+    rows = counts[first]
+    if np.any(counts != rows[p.cell_of]):
+        return False, None
+    return True, EquitableProfile(rows[:, :p.m].copy(), rows[:, p.m:].copy())
 
 
 def normalized_partition_matrix(p: Partition) -> np.ndarray:
@@ -228,29 +228,16 @@ def coarsest_equitable(g: SignedGraph, seed: Optional[Partition] = None) -> Part
     """Coarsest equitable partition refining ``seed`` (default: one cell).
 
     Cells are split by their (positive, negative) neighbour-count
-    signatures against the current cells; new cell indices follow the
-    order in which each signature first appears along the vertex list,
-    so the refinement is deterministic.
+    signatures against the current cells; new cells are numbered as
+    their smallest vertices appear, so the refinement is deterministic.
     """
     part = seed if seed is not None else single_cell_partition(g.n)
     if part.n != g.n:
         raise ValueError("seed partition size does not match the graph")
     while True:
-        ind = _indicator(part)
-        counts_pos = g.pos @ ind
-        counts_neg = g.neg @ ind
-        first_seen: dict = {}
-        new_cell_of = np.zeros(g.n, dtype=np.int64)
-        for v in range(g.n):
-            sig = (
-                int(part.cell_of[v]),
-                tuple(int(x) for x in counts_pos[v]),
-                tuple(int(x) for x in counts_neg[v]),
-            )
-            if sig not in first_seen:
-                first_seen[sig] = len(first_seen)
-            new_cell_of[v] = first_seen[sig]
-        refined = partition_from_cell_of(new_cell_of)
+        signatures = np.column_stack([part.cell_of, _cell_counts(g, part)])
+        _, new_cell_of = np.unique(signatures, axis=0, return_inverse=True)
+        refined = partition_from_cell_of(new_cell_of.reshape(-1))
         if refined.m == part.m:
             return refined
         part = refined

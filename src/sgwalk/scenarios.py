@@ -28,6 +28,7 @@ from .core import (
     balance_verdict,
     build_signed_graph,
     from_net_matrix,
+    graph_edges,
     signed_union,
     switch,
     underlying,
@@ -527,8 +528,7 @@ def _ext_c4() -> list:
     # a=0, b=1, c=2, d=3 with edges ab, ac, bd, cd (antipodes a-d, b-c).
     c4sq = build_signed_graph(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
     ext = exterior_power(c4sq, 2)
-    neg_edges = {(u, v) for u in range(6) for v in range(u + 1, 6)
-                 if ext.neg[u, v] != 0}
+    neg_edges = {(u, v) for u, v, sign in graph_edges(ext) if sign == -1}
     r_ab, r_bc, r_cd = (subset_rank(p, 4) for p in [(0, 1), (1, 2), (2, 3)])
     expected_neg = {tuple(sorted((r_ab, r_bc))), tuple(sorted((r_bc, r_cd)))}
     claims.append(_yes("second power of the corner-labeled 4-cycle: exactly "

@@ -305,8 +305,8 @@ def pst_search(graph, a: int, b: int, t_max: float,
     The fidelity curve is sampled on a uniform grid and every local
     maximum is refined to the root of dF/dt = 2 Re(conj(z) z'), where
     z' = sum -i lambda exp(-i lambda t) w_lambda.  All peaks with
-    fidelity >= 1 - tol are reported; if none qualifies the single best
-    peak is returned with kind "none".
+    fidelity >= 1 - tol are reported; if none qualifies the earliest peak
+    within 1e-12 of the best fidelity is returned with kind "none".
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -351,7 +351,9 @@ def pst_search(graph, a: int, b: int, t_max: float,
         for t, z in zip(peaks, _transfer(spec, a, b, peaks))
     ]
     hits = [v for v in verdicts if v.kind != "none"]
-    return hits or [max(verdicts, key=lambda v: v.fidelity)]
+    # equal peaks differ below the 12 printed decimals: the earliest wins
+    best = max(v.fidelity for v in verdicts)
+    return hits or [next(v for v in verdicts if v.fidelity >= best - 1e-12)]
 
 
 # ---------------------------------------------------------------------------

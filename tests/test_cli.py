@@ -78,6 +78,29 @@ def test_walk_formats(capsys, tmp_path):
     assert out.splitlines()[0] == "t,re,im,fidelity"
 
 
+def test_walk_json_prints_only_earned_digits(capsys, tmp_path):
+    cube, ring = tmp_path / "q3.txt", tmp_path / "c4.txt"
+    main(["construct", "--family", "hypercube", "--d", "3", "--out", str(cube)])
+    main(["construct", "--family", "cycle", "--n", "4", "--out", str(ring)])
+    capsys.readouterr()
+    # re is a rounding residue: no sign survives rounding to 12 places
+    code, out, _ = run(capsys, "walk", str(cube), "--from", "0", "--to", "7",
+                       "--time", "pi/2", "--format", "json")
+    assert code == 0 and "-0.0" not in out
+    assert json.loads(out)["re"] == 0.0 and json.loads(out)["im"] == 1.0
+    # a zero amplitude has no phase
+    code, out, _ = run(capsys, "walk", str(ring), "--from", "0", "--to", "1",
+                       "--time", "pi/2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"time": 1.570796326795, "re": 0.0, "im": 0.0,
+                               "fidelity": 0.0, "phase": 0.0}
+    assert "-0.0" not in out
+    code, out, _ = run(capsys, "fidelity-curve", str(ring), "--from", "0",
+                       "--to", "2", "--t-max", "pi", "--points", "9",
+                       "--format", "json")
+    assert code == 0 and "-0.0" not in out
+
+
 def test_pst_search_output(capsys, tmp_path):
     square = write_square(tmp_path)
     code, out, _ = run(capsys, "pst-search", square,
@@ -109,6 +132,26 @@ def test_pst_search_is_deterministic(capsys, tmp_path):
     second = run(capsys, "pst-search", square,
                  "--from", "0", "--to", "1", "--t-max", "4*pi")
     assert first == second
+
+
+def test_pst_search_reports_the_earliest_of_equal_peaks(capsys, tmp_path):
+    # K_n peaks at every odd multiple of pi/n with fidelity 4/n^2
+    for n in range(5, 9):
+        target = tmp_path / f"k{n}.txt"
+        main(["construct", "--family", "complete", "--n", str(n), "--out", str(target)])
+        capsys.readouterr()
+        for a, b in ((0, 1), (0, 2), (n - 1, 1)):
+            for t_max in ("2*pi", "3*pi", "pi/2"):
+                code, out, _ = run(capsys, "pst-search", str(target), "--from", str(a),
+                                   "--to", str(b), "--t-max", t_max)
+                assert code == 0
+                time, fidelity, _, kind = out.split()
+                assert kind == "none"
+                assert abs(float(time) - math.pi / n) < 1e-12
+                assert abs(float(fidelity) - 4 / n ** 2) < 1e-12
+    code, out, _ = run(capsys, "pst-search", str(tmp_path / "k5.txt"), "--from", "0",
+                       "--to", "2", "--t-max", "2*pi")
+    assert out == "0.628318530718 0.160000000000 -2.513274122872 none\n"
 
 
 def test_fidelity_curve(capsys, tmp_path):
@@ -286,6 +329,18 @@ def test_power_subcommands(capsys, tmp_path):
     assert code == 3  # signed base graph is outside the fermionic domain
 
 
+def test_power_state_cap_is_a_domain_error(capsys, tmp_path):
+    # C(40, 5) = 658,008 and C(512, 2) = 130,816 states: refused before building
+    for n, k in ((40, 5), (512, 2)):
+        target = tmp_path / f"c{n}.txt"
+        main(["construct", "--family", "cycle", "--n", str(n), "--out", str(target)])
+        capsys.readouterr()
+        for sub in ("exterior", "symmetric"):
+            code, out, err = run(capsys, sub, str(target), "--k", str(k))
+            assert code == 3 and out == ""
+            assert "exceeds the desk-scale cap" in err
+
+
 def test_double_cover_subcommand(capsys, tmp_path):
     square = write_square(tmp_path, signs=(-1, 1, 1, 1))
     code, out, _ = run(capsys, "double-cover", square)
@@ -308,6 +363,15 @@ def test_balance_subcommand(capsys, tmp_path):
     assert payload["also_antibalanced"] is True
     switched = np.array(payload["witness"])
     assert set(switched.tolist()) <= {1, -1}
+    # a disconnected graph and a multigraph are outside its domain
+    for name, text, message in (
+            ("split.txt", "n 4\n0 1 +1\n2 3 -1\n", "connected"),
+            ("multi.txt", "n 3\n0 1 +1\n0 1 -1\n1 2 +1\n", "simple mode")):
+        target = tmp_path / name
+        target.write_text(text)
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "balance", str(target), "--format", fmt)
+            assert code == 3 and out == "" and message in err
 
 
 def test_verify_scenario_reports(capsys):

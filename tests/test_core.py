@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgwalk import (
     MULTIGRAPH,
@@ -25,6 +27,7 @@ from sgwalk import (
     underlying,
     write_edge_list,
 )
+from sgwalk.cli import graph_payload
 from sgwalk.construct import complete, cycle, path
 
 
@@ -193,6 +196,69 @@ def test_edge_list_round_trip(tmp_path):
     assert np.array_equal(back.neg, multi.neg)
 
     assert sorted(graph_edges(multi)) == [(0, 1, -1), (0, 1, 1), (1, 2, 1)]
+
+
+@st.composite
+def signed_multigraphs(draw):
+    """Up to two parallel edges of each sign per pair."""
+    n = draw(st.integers(1, 8))
+    layers = []
+    for _ in range(2):
+        counts = draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))
+        half = np.triu(np.array(counts).reshape(n, n), k=1)
+        layers.append(half + half.T)
+    return SignedGraph(n, *layers, MULTIGRAPH)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Sparse symmetric weights, diagonal included."""
+    n = draw(st.integers(1, 8))
+    weight = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_subnormal=False))
+    values = draw(st.lists(weight, min_size=n * n, max_size=n * n))
+    upper = np.triu(np.array(values).reshape(n, n))
+    return WeightedGraph(n, upper + np.triu(upper, k=1).T)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(signed_multigraphs())
+def test_signed_edge_list_round_trip_property(tmp_path_factory, g):
+    target = tmp_path_factory.getbasetemp() / "signed-round-trip.txt"
+    target.write_text(format_edge_list(g))
+    back = read_signed_graph(target)
+    assert np.array_equal(back.pos, g.pos) and np.array_equal(back.neg, g.neg)
+    parallel = list(graph_edges(g))
+    assert back.mode == (MULTIGRAPH if len({e[:2] for e in parallel}) < len(parallel)
+                         else SIMPLE)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weighted_graphs())
+def test_weighted_edge_list_round_trip_property(tmp_path_factory, g):
+    target = tmp_path_factory.getbasetemp() / "weighted-round-trip.txt"
+    target.write_text(format_edge_list(g))
+    back = read_weighted_graph(target)
+    # 15 significant digits are written
+    assert np.allclose(back.weights, g.weights, rtol=1e-14, atol=0.0)
+    assert np.array_equal(back.weights != 0.0, g.weights != 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(signed_multigraphs(), weighted_graphs()))
+def test_graph_payload_lists_the_edge_lines(g):
+    # weights print rounded to 12 places, never as -0.0
+    rows = [[u, v, w if isinstance(g, SignedGraph) else round(w, 12) + 0.0]
+            for u, v, w in graph_edges(g)]
+    assert graph_payload(g) == {"n": g.n, "edges": rows}
+    # one line per edge, sorted by (u, v) with +1 before -1, upper triangle
+    signed = isinstance(g, SignedGraph)
+    assert rows == sorted(rows, key=lambda row: (row[0], row[1], -row[2] if signed else 0))
+    if signed:
+        assert len(rows) == g.edge_count()
+        assert all(u < v and type(s) is int for u, v, s in rows)
+    else:
+        assert len(rows) == np.count_nonzero(np.triu(g.weights))
+        assert all(u <= v for u, v, _ in rows)
 
 
 def test_weighted_round_trip_keeps_diagonal(tmp_path):

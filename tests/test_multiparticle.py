@@ -33,6 +33,7 @@ from sgwalk import (
     symmetric_power,
     symmetrizer,
 )
+from sgwalk.multiparticle import MAX_POWER_STATES
 
 
 def all_graphs(n):
@@ -53,6 +54,13 @@ def test_subset_indexing_round_trip():
         for rank, subset in enumerate(subsets):
             assert subset_rank(subset, n) == rank
             assert subset_unrank(rank, n, k) == subset
+    # the closed form stays exact beyond int64
+    assert subset_rank(tuple(range(40, 80)), 80) == math.comb(80, 40) - 1
+    for bad in [(3, 4), (-1, 0), (0, 5), (1, 0), (2, 2)]:
+        with pytest.raises(ValueError):
+            subset_rank(bad, 4)
+    with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+        subset_rank((0, 5), 4)
 
 
 def test_multiset_indexing():
@@ -60,6 +68,13 @@ def test_multiset_indexing():
     assert states == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     for rank, state in enumerate(states):
         assert multiset_rank(state, 3) == rank
+    for n, k in [(4, 3), (1, 5), (6, 1), (5, 4)]:
+        for rank, state in enumerate(multiset_states(n, k)):
+            assert multiset_rank(state, n) == rank
+            assert multiset_rank(state[::-1], n) == rank  # order is ignored
+    for bad in [(3, 4), (-1, 0), (0, 5), ()]:
+        with pytest.raises(ValueError, match=r"is not a multiset over 0\.\.3"):
+            multiset_rank(bad, 4)
 
 
 def test_antisymmetrizer_and_symmetrizer_are_isometries():
@@ -240,3 +255,10 @@ def test_power_domain_checks():
         exterior_power(complete(4), 5)
     with pytest.raises(ValueError):
         boson_quotient(random_regular(40, 3, seed=1), 8)  # state space too big
+    # C(n, k) states are capped before anything is allocated
+    for g, k in [(random_regular(40, 3, seed=1), 5), (cycle(512), 2)]:
+        with pytest.raises(ValueError, match="desk-scale cap"):
+            exterior_power(g, k)
+        with pytest.raises(ValueError, match="desk-scale cap"):
+            symmetric_power(g, k)
+    assert exterior_power(cycle(1300), 1).n == MAX_POWER_STATES

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgwalk import (
+    MULTIGRAPH,
+    SignedGraph,
     amplitude,
     build_signed_graph,
     coarsest_equitable,
@@ -155,3 +159,73 @@ def test_coarsest_equitable_cases():
     assert p.cells == ((0, 1), (2, 3, 4, 5))
     ok, _ = is_equitable(g, p)
     assert ok
+
+
+# Plain per-vertex statements of the definitions, for the properties below.
+
+
+def neighbour_counts(g, v, cell):
+    return sum(int(g.pos[v, w]) for w in cell), sum(int(g.neg[v, w]) for w in cell)
+
+
+def equitable_by_definition(g, cells):
+    """Every vertex of cell j sees the same (+, -) counts in each cell k."""
+    profile = []
+    for cell_j in cells:
+        row = [neighbour_counts(g, cell_j[0], cell_k) for cell_k in cells]
+        for v in cell_j:
+            if [neighbour_counts(g, v, cell_k) for cell_k in cells] != row:
+                return None
+        profile.append(row)
+    return profile
+
+
+def colour_refinement(g, cells):
+    """Split cells by the multiset of (neighbour cell, sign) seen from each
+    vertex until nothing splits; cells are listed by smallest vertex."""
+    while True:
+        cell_of = {v: j for j, cell in enumerate(cells) for v in cell}
+        groups = {}
+        for v in range(g.n):
+            seen = sorted((cell_of[w], sign)
+                          for w in range(g.n)
+                          for sign, layer in ((1, g.pos), (-1, g.neg))
+                          for _ in range(int(layer[v, w])))
+            groups.setdefault((cell_of[v], tuple(seen)), []).append(v)
+        refined = sorted(groups.values())
+        if len(refined) == len(cells):
+            return [tuple(cell) for cell in refined]
+        cells = refined
+
+
+@st.composite
+def seeded_multigraphs(draw):
+    n = draw(st.integers(1, 12))
+    layers = []
+    for _ in range(2):
+        multiplicity = st.sampled_from((0, 0, 1, 2))  # sparse: coarse partitions
+        counts = draw(st.lists(multiplicity, min_size=n * n, max_size=n * n))
+        half = np.triu(np.array(counts).reshape(n, n), k=1)
+        layers.append(half + half.T)
+    m = draw(st.integers(1, n))
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    return SignedGraph(n, *layers, MULTIGRAPH), partition_from_cell_of(labels)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seeded_multigraphs())
+def test_equitable_partitions_match_their_definitions(case):
+    g, seed = case
+    coarsest = coarsest_equitable(g, seed)
+    assert list(coarsest.cells) == colour_refinement(g, list(seed.cells))
+    # equitable for one layer, so only the other layer can break it
+    layer_only = [coarsest_equitable(SignedGraph(g.n, layer, 0 * layer, MULTIGRAPH), seed)
+                  for layer in (g.pos, g.neg)]
+    for p in (seed, coarsest, *layer_only, single_cell_partition(g.n),
+              discrete_partition(g.n)):
+        ok, profile = is_equitable(g, p)
+        want = equitable_by_definition(g, p.cells)
+        assert ok == (want is not None)
+        if ok:
+            got = np.stack([profile.d_plus, profile.d_minus], axis=-1)
+            assert np.array_equal(got, np.array(want).reshape(got.shape))
