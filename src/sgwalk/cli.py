@@ -317,16 +317,14 @@ def cmd_walk(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise DomainError(str(exc)) from None
     if args.format == "json":
-        re, im = _json_number(amp.re), _json_number(amp.im)
         emit_json(
             args,
             {
                 "time": _json_number(t),
-                "re": re,
-                "im": im,
+                "re": _json_number(amp.re),
+                "im": _json_number(amp.im),
                 "fidelity": _json_number(amp.fidelity),
-                # a zero amplitude has no phase: atan2 of rounding residues
-                "phase": _json_number(amp.phase) if re or im else 0.0,
+                "phase": _json_number(amp.phase),
             },
         )
     elif args.format == "csv":

@@ -178,8 +178,12 @@ class WalkAmplitude:
         """Argument of the amplitude in (-pi, pi].
 
         Within 1e-12 of -pi it reads pi: a negative real amplitude gets an
-        imaginary part of either sign (or -0.0) from rounding alone.
+        imaginary part of either sign (or -0.0) from rounding alone.  An
+        amplitude that rounds to 0 at 12 places has phase 0.0: its argument
+        would be that of rounding residues.
         """
+        if round(self.re, 12) == 0.0 == round(self.im, 12):
+            return 0.0
         phase = math.atan2(self.im, self.re)
         return math.pi if phase < -math.pi + 1e-12 else phase
 
@@ -275,26 +279,47 @@ def is_periodic(graph, t: float, tol: float = DEFAULT_TOL) -> bool:
                for a in range(eig_sym(graph).n))
 
 
-def _refine_peak(fid_slope, lo: float, hi: float) -> float:
-    """Time of the fidelity peak in [lo, hi]: the root of dF/dt.
+_SCAN_ROWS = 16384  # grid times per scan block: memory stays O(block * n)
 
-    ``fid_slope(t)`` returns (F, dF/dt).  When dF/dt falls from positive
-    at lo to negative at hi, bisection on its sign runs until the
-    midpoint stops moving.  Otherwise the peak sits at an end of the
-    bracket, and the end with the higher fidelity is returned.
+
+def _fidelity_slope(spec: Spectrum, weights: np.ndarray, times) -> tuple:
+    """(F, dF/dt) at every t in ``times``, in real arithmetic.
+
+    With C = cos(t (x) lambda) and S = sin(t (x) lambda) the amplitude is
+    z = Cw - i Sw, so F = (Cw)^2 + (Sw)^2 and dF/dt = 2 Re(conj(z) z') =
+    2 [(Sw)(C lambda w) - (Cw)(S lambda w)].
     """
-    f_lo, slope_lo = fid_slope(lo)
-    f_hi, slope_hi = fid_slope(hi)
-    if not slope_lo > 0.0 > slope_hi:
-        return lo if f_lo > f_hi else hi
+    phases = np.multiply.outer(times, spec.eigenvalues)
+    both = np.column_stack([weights, spec.eigenvalues * weights])
+    cw = np.cos(phases) @ both
+    sw = np.sin(phases, out=phases) @ both
+    fid = cw[:, 0] ** 2 + sw[:, 0] ** 2
+    return fid, 2.0 * (sw[:, 0] * cw[:, 1] - cw[:, 0] * sw[:, 1])
+
+
+def _refine_peaks(spec: Spectrum, weights: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+    """Time of the fidelity peak in every bracket [lo, hi]: the root of dF/dt.
+
+    Where dF/dt falls from positive at lo to negative at hi, bisection on
+    its sign runs, all brackets together, until the midpoint stops moving.
+    Elsewhere the peak sits at an end of the bracket, and the end with the
+    higher fidelity is returned.
+    """
+    fid, slope = _fidelity_slope(spec, weights, np.concatenate([lo, hi]))
+    k = len(lo)
+    peaks = np.where(fid[:k] > fid[k:], lo, hi)
+    live = np.flatnonzero((slope[:k] > 0.0) & (slope[k:] < 0.0))
+    lo, hi = lo[live], hi[live]
+    # a bracket whose midpoint has stopped moving keeps it: mid is lo or hi,
+    # and either update leaves 0.5 * (lo + hi) where it was
     while True:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        if fid_slope(mid)[1] > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        if not ((lo < mid) & (mid < hi)).any():
+            peaks[live] = mid
+            return peaks
+        rising = _fidelity_slope(spec, weights, mid)[1] > 0.0
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
 
 
 def pst_search(graph, a: int, b: int, t_max: float,
@@ -306,7 +331,9 @@ def pst_search(graph, a: int, b: int, t_max: float,
     maximum is refined to the root of dF/dt = 2 Re(conj(z) z'), where
     z' = sum -i lambda exp(-i lambda t) w_lambda.  All peaks with
     fidelity >= 1 - tol are reported; if none qualifies the earliest peak
-    within 1e-12 of the best fidelity is returned with kind "none".
+    within 1e-12 of the best fidelity is returned with kind "none".  A
+    curve without peaks (one that is zero to rounding, say) reports the
+    earliest grid time within 1e-12 of its best grid fidelity.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -318,32 +345,30 @@ def pst_search(graph, a: int, b: int, t_max: float,
     _check_phase_range(spec, t_max)  # before a horizon like 1e300 sizes the grid
     steps = max(2, int(math.ceil(t_max / grid_step)))
     ts = np.linspace(0.0, t_max, steps + 1)
-    fids = np.abs(_transfer(spec, a, b, ts)) ** 2
-
-    lambda_weights = spec.eigenvalues * weights
-
-    def fid_slope(t: float):
-        phases = np.exp(-1j * spec.eigenvalues * t)
-        z = phases @ weights
-        dz = -1j * (phases @ lambda_weights)
-        return abs(z) ** 2, 2.0 * (z.conjugate() * dz).real
+    fids = np.empty_like(ts)
+    for i in range(0, len(ts), _SCAN_ROWS):
+        fids[i:i + _SCAN_ROWS] = _fidelity_slope(spec, weights, ts[i:i + _SCAN_ROWS])[0]
 
     # Peaks far below the curve's own scale are rounding noise (a curve that
     # is mathematically zero wiggles around 1e-32), not transfer events.
     floor = max(1e-12, float(fids.max()) * 1e-6)
-    candidates = []
-    for i in range(1, len(ts) - 1):
-        # strict rise on the left so a plateau yields one candidate, not one
-        # per grid point (a constant curve would otherwise refine everywhere)
-        if fids[i] > floor and fids[i] > fids[i - 1] and fids[i] >= fids[i + 1]:
-            candidates.append(_refine_peak(fid_slope, ts[i - 1], ts[i + 1]))
-    if fids[-1] > floor and fids[-1] > fids[-2]:
-        candidates.append(_refine_peak(fid_slope, ts[-2], ts[-1]))
-    if not candidates:
-        candidates.append(float(ts[1 + int(np.argmax(fids[1:]))]))
+    # strict rise on the left so a plateau yields one candidate, not one per
+    # grid point (a constant curve would otherwise refine everywhere); the
+    # last grid point counts when the curve still rises into it
+    is_peak = fids > floor
+    is_peak[1:] &= fids[1:] > fids[:-1]
+    is_peak[1:-1] &= fids[1:-1] >= fids[2:]
+    is_peak[0] = False
+    at = np.flatnonzero(is_peak)
+    if len(at):
+        lo, hi = ts[at - 1], ts[np.minimum(at + 1, steps)]
+        candidates = np.sort(_refine_peaks(spec, weights, lo, hi))
+    else:
+        tail = fids[1:]
+        candidates = ts[1 + np.flatnonzero(tail >= tail.max() - 1e-12)[:1]]
 
     peaks = []
-    for t in sorted(candidates):
+    for t in candidates.tolist():
         if not peaks or t - peaks[-1] >= 1e-9:
             peaks.append(t)
     verdicts = [

@@ -154,6 +154,21 @@ def test_pst_search_reports_the_earliest_of_equal_peaks(capsys, tmp_path):
     assert out == "0.628318530718 0.160000000000 -2.513274122872 none\n"
 
 
+def test_pst_search_on_a_zero_curve(capsys, tmp_path):
+    # an unbalanced square never moves 0 to 2: the earliest grid time
+    # (t_max / 319) and phase 0 stand for a curve of rounding noise
+    square = write_square(tmp_path, signs=(1, 1, 1, -1))
+    code, out, _ = run(capsys, "pst-search", square,
+                       "--from", "0", "--to", "2", "--t-max", "1")
+    assert code == 0
+    assert out == "0.003134796238 0.000000000000 0.000000000000 none\n"
+    code, out, _ = run(capsys, "pst-search", square, "--from", "0", "--to", "2",
+                       "--t-max", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [{"t": 0.003134796238, "fidelity": 0.0,
+                                "phase": 0.0, "kind": "none"}]
+
+
 def test_fidelity_curve(capsys, tmp_path):
     square = write_square(tmp_path)
     code, out, _ = run(capsys, "fidelity-curve", square, "--from", "0",

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -23,6 +24,7 @@ from sgwalk import (
     amplitude_series,
     build_signed_graph,
     complete,
+    complete_bipartite,
     cycle,
     decomposition_transfer,
     eig_sym,
@@ -34,6 +36,7 @@ from sgwalk import (
     join_pst_condition,
     join_spectral_data,
     path,
+    petersen,
     propagator,
     pst_search,
     random_regular,
@@ -272,10 +275,111 @@ def test_pst_search_reports_best_peak_when_nothing_transfers():
     # identically zero curve: single best grid point, no spurious peaks
     unbalanced = build_signed_graph(
         4, [(0, 1, -1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
-    hits = pst_search(unbalanced, 0, 2, 4 * math.pi)
-    assert len(hits) == 1
-    assert hits[0].kind == "none"
-    assert hits[0].fidelity < 1e-18
+    for t_max in (1.0, 4 * math.pi):
+        (best,) = pst_search(unbalanced, 0, 2, t_max)
+        assert best.kind == "none" and best.fidelity < 1e-18
+        # all grid fidelities tie within 1e-12: the earliest grid time wins,
+        # and an amplitude that rounds to 0 has phase 0.0
+        steps = math.ceil(t_max / spectral.DEFAULT_GRID_STEP)
+        assert best.time == np.linspace(0.0, t_max, steps + 1)[1]
+        assert best.phase == 0.0
+
+
+def _scalar_pst_search(graph, a, b, t_max):
+    """pst_search as a per-grid-point scan and one bisection per peak."""
+    spec = eig_sym(graph)
+    weights = spectral._weights(spec, a, b)
+    steps = max(2, int(math.ceil(t_max / spectral.DEFAULT_GRID_STEP)))
+    ts = np.linspace(0.0, t_max, steps + 1)
+    fids = np.abs(spectral._transfer(spec, a, b, ts)) ** 2
+    lambda_weights = spec.eigenvalues * weights
+
+    def fid_slope(t):
+        phases = np.exp(-1j * spec.eigenvalues * t)
+        z = phases @ weights
+        dz = -1j * (phases @ lambda_weights)
+        return abs(z) ** 2, 2.0 * (z.conjugate() * dz).real
+
+    def refine(lo, hi):
+        f_lo, slope_lo = fid_slope(lo)
+        f_hi, slope_hi = fid_slope(hi)
+        if not slope_lo > 0.0 > slope_hi:
+            return lo if f_lo > f_hi else hi
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return mid
+            if fid_slope(mid)[1] > 0.0:
+                lo = mid
+            else:
+                hi = mid
+
+    floor = max(1e-12, float(fids.max()) * 1e-6)
+    candidates = []
+    for i in range(1, len(ts) - 1):
+        if fids[i] > floor and fids[i] > fids[i - 1] and fids[i] >= fids[i + 1]:
+            candidates.append(refine(ts[i - 1], ts[i + 1]))
+    if fids[-1] > floor and fids[-1] > fids[-2]:
+        candidates.append(refine(ts[-2], ts[-1]))
+    if not candidates:
+        candidates.append(float(ts[1 + int(np.argmax(fids[1:]))]))
+    peaks = []
+    for t in sorted(candidates):
+        if not peaks or t - peaks[-1] >= 1e-9:
+            peaks.append(t)
+    verdicts = [
+        spectral._verdict(a, b, WalkAmplitude.from_complex(z, t), spectral.DEFAULT_TOL)
+        for t, z in zip(peaks, spectral._transfer(spec, a, b, peaks))
+    ]
+    hits = [v for v in verdicts if v.kind != "none"]
+    best = max(v.fidelity for v in verdicts)
+    return hits or [next(v for v in verdicts if v.fidelity >= best - 1e-12)]
+
+
+def _printed(verdicts):
+    return [f"{v.time:.12f} {v.fidelity:.12f} {v.phase:.12f} {v.kind}" for v in verdicts]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(signed_walks(), st.floats(0.0, 6 * math.pi, exclude_min=True))
+def test_pst_search_matches_the_scalar_oracle(walk, t_max):
+    g, a, b, _ = walk
+    got, want = pst_search(g, a, b, t_max), _scalar_pst_search(g, a, b, t_max)
+    if want[0].fidelity < 1e-12:
+        # zero to rounding: the oracle reports the grid's argmax of noise,
+        # pst_search the earliest grid time (see the zero-curve test)
+        (best,) = got
+        steps = max(2, math.ceil(t_max / spectral.DEFAULT_GRID_STEP))
+        assert best.kind == "none" and best.time == np.linspace(0.0, t_max, steps + 1)[1]
+    else:
+        assert _printed(got) == _printed(want)
+
+
+def test_pst_search_scan_memory_does_not_grow_with_grid_times_n():
+    g = hypercube(5)
+    eig_sym(g)
+    tracemalloc.start()
+    try:
+        pst_search(g, 0, 31, 200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 63,663 grid times x 32 eigenvalues: a scan over one complex table of
+    # them peaks at about 63 MB; the blocked scan holds the grid, its
+    # fidelities and one block of cos/sin rows
+    assert peak < 16e6
+
+
+def test_signed_joins_transfer_at_the_paper_times():
+    # the negative K2 joined to an n-vertex regular graph transfers between
+    # the K2 ends at pi / sqrt(4 + 2n) and its odd multiples
+    for h in (complete(4), complete_bipartite(3, 3), hypercube(3), petersen()):
+        t0 = math.pi / math.sqrt(4 + 2 * h.n)
+        hits = pst_search(signed_join(complete(2), h, -1, 1), 0, 1, 4 * math.pi)
+        assert hits[0].kind == "pst" and abs(hits[0].time - t0) < 1e-15
+        for hit in hits:
+            assert abs(hit.time / t0 - round(hit.time / t0)) < 4e-15
+            assert round(hit.time / t0) % 2 == 1
 
 
 def test_pst_search_periodicity_mode():
