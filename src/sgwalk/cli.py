@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import math
 import operator
@@ -563,6 +564,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
 # parser assembly
 
 
+@functools.cache  # parse_args makes a fresh namespace, so one tree serves every call
 def build_parser() -> argparse.ArgumentParser:
     # walk commands print tables of numbers, so only they offer csv
     common, walk = (argparse.ArgumentParser(add_help=False) for _ in range(2))
@@ -666,6 +668,9 @@ def main(argv=None) -> int:
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
 
 

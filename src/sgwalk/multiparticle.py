@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "subset_unrank",
     "multiset_states",
     "multiset_rank",
-    "Antisymmetrizer",
     "antisymmetrizer",
     "symmetrizer",
     "cartesian_power_matrix",
@@ -131,27 +129,12 @@ def _check_states(label: str, count: int) -> int:
     return count
 
 
-@dataclass(frozen=True, eq=False)
-class Antisymmetrizer:
+def antisymmetrizer(n: int, k: int) -> np.ndarray:
     """Isometry from k-subsets into the antisymmetric sector of tuples.
 
     Column for subset S holds sign(pi)/sqrt(k!) at every arrangement
     pi(S); columns are orthonormal (disjoint supports, unit norm).
     """
-
-    n: int
-    k: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def normalization(self) -> float:
-        return 1.0 / math.sqrt(math.factorial(self.k))
-
-
-def antisymmetrizer(n: int, k: int) -> Antisymmetrizer:
     _check_states("n^k", n ** k)
     subsets = k_subsets(n, k)
     norm = 1.0 / math.sqrt(math.factorial(k))
@@ -160,7 +143,7 @@ def antisymmetrizer(n: int, k: int) -> Antisymmetrizer:
         for perm in itertools.permutations(range(k)):
             row = _tuple_index([subset[p] for p in perm], n)
             mat[row, col] = _perm_sign(perm) * norm
-    return Antisymmetrizer(n, k, mat)
+    return mat
 
 
 def symmetrizer(n: int, k: int) -> np.ndarray:
@@ -211,16 +194,10 @@ def _lex_terms(n: int, k: int):
     return lambda a, q: table[n - k - a + q + 1, k - q]
 
 
-def exterior_power(g: SignedGraph, k: int) -> SignedGraph:
-    """Signed k-th exterior power on the k-subsets of the vertices.
-
-    Subsets A and B are adjacent when they differ in one element u -> v
-    with uv an edge of G; the sign is (-1)^(r+s) for the 1-based
-    positions r of u in A and s of v in B (the parity of the alignment
-    permutation between the two sorted tuples).
-    """
-    _require_unsigned(g, "exterior_power")
-    n = g.n
+def _exterior_nets(adj: np.ndarray, k: int) -> np.ndarray:
+    """Net matrices of the k-th exterior powers of a stack of unsigned
+    adjacencies: shape (B, n, n) in, (B, C(n, k), C(n, k)) out."""
+    n = adj.shape[-1]
     count = _check_states("C(n, k)", math.comb(n, k))  # before any allocation
     subsets = np.array(k_subsets(n, k), dtype=np.int64)
     member = np.zeros((count, n), dtype=bool)
@@ -233,15 +210,27 @@ def exterior_power(g: SignedGraph, k: int) -> SignedGraph:
     shift = np.zeros((count, k), dtype=np.int64)
     shift[:, 1:] = np.cumsum(own[:, 1:] - term(subsets[:, 1:], q[:-1]), axis=1)
     rank = count - 1 - own.sum(axis=1)
-    net = np.zeros((count, count), dtype=np.int64)
+    net = np.zeros((len(adj), count, count), dtype=np.int64)
     for r in range(k):
         u = subsets[:, r]
         # only v > u: then B ranks after A, and each edge is met from A once
-        ia, v = np.nonzero((g.pos[u] > 0) & (np.arange(n) > u[:, None]) & ~member)
+        ig, ia, v = np.nonzero((adj[:, u] > 0) & (np.arange(n) > u[:, None]) & ~member)
         s = at_or_below[ia, v] - 1  # position of v in B
         ib = (rank + own[:, r] - shift[:, r])[ia] + shift[ia, s] - term(v, s)
-        net[ia, ib] = net[ib, ia] = 1 - 2 * ((r + s) % 2)
-    return from_net_matrix(net)
+        net[ig, ia, ib] = net[ig, ib, ia] = 1 - 2 * ((r + s) % 2)
+    return net
+
+
+def exterior_power(g: SignedGraph, k: int) -> SignedGraph:
+    """Signed k-th exterior power on the k-subsets of the vertices.
+
+    Subsets A and B are adjacent when they differ in one element u -> v
+    with uv an edge of G; the sign is (-1)^(r+s) for the 1-based
+    positions r of u in A and s of v in B (the parity of the alignment
+    permutation between the two sorted tuples).
+    """
+    _require_unsigned(g, "exterior_power")
+    return from_net_matrix(_exterior_nets(g.pos[None], k)[0])
 
 
 def exterior_power_oracle(g: SignedGraph, k: int) -> WeightedGraph:
@@ -249,7 +238,7 @@ def exterior_power_oracle(g: SignedGraph, k: int) -> WeightedGraph:
     power by the antisymmetrizer and round to exact {-1, 0, +1} entries."""
     _require_unsigned(g, "exterior_power_oracle")
     _check_states("n^k", g.n ** k)
-    alt = antisymmetrizer(g.n, k).matrix
+    alt = antisymmetrizer(g.n, k)
     box = cartesian_power_matrix(g, k).astype(float)
     w = alt.T @ box @ alt
     rounded = np.rint(w)
@@ -263,8 +252,8 @@ def exterior_power_oracle(g: SignedGraph, k: int) -> WeightedGraph:
 def symmetric_power(g: SignedGraph, k: int) -> SignedGraph:
     """Unsigned k-th symmetric power: same support as the exterior power,
     every edge positive."""
-    ext = exterior_power(g, k)
-    return SignedGraph(ext.n, ext.pos + ext.neg, np.zeros_like(ext.pos), SIMPLE)
+    _require_unsigned(g, "symmetric_power")
+    return from_net_matrix(np.abs(_exterior_nets(g.pos[None], k)[0]))
 
 
 def boson_quotient(g: SignedGraph, k: int) -> WeightedGraph:

@@ -70,6 +70,7 @@ from .quotient import (
     quotient_transfer_check,
 )
 from .multiparticle import (
+    _exterior_nets,
     boson_formula_comparison,
     boson_quotient,
     exterior_power,
@@ -476,27 +477,24 @@ def _exhaustive_sign_rule(max_n: int = 5, spot_every: int = 97):
     spots = 0
     for n in range(2, max_n + 1):
         pairs = list(itertools.combinations(range(n), 2))
+        masks = np.arange(1 << len(pairs))
+        bits = masks[:, None] >> np.arange(len(pairs)) & 1
+        adj = np.zeros((len(masks), n, n), dtype=np.int64)
+        for i, (u, v) in enumerate(pairs):
+            adj[:, u, v] = adj[:, v, u] = bits[:, i]
         for k in range(1, n):
-            basis = []
-            for (u, v) in pairs:
-                e = build_signed_graph(n, [(u, v, 1)])
-                basis.append(exterior_power_oracle(e, k).weights)
-            zero = np.zeros_like(basis[0])
-            for mask in range(1 << len(pairs)):
-                edges = [(u, v, 1) for i, (u, v) in enumerate(pairs)
-                         if mask >> i & 1]
-                g = build_signed_graph(n, edges)
-                built = exterior_power(g, k).adjacency
-                oracle = sum((basis[i] for i in range(len(pairs))
-                              if mask >> i & 1), zero)
-                if np.abs(built - oracle).max() != 0:
+            basis = np.array([
+                exterior_power_oracle(build_signed_graph(n, [(u, v, 1)]), k).weights
+                for (u, v) in pairs])
+            oracle = np.tensordot(bits, basis, 1)
+            built = _exterior_nets(adj, k)
+            mismatches += int((built != oracle).any(axis=(1, 2)).sum())
+            for mask in masks[::spot_every]:
+                direct = exterior_power_oracle(from_net_matrix(adj[mask]), k).weights
+                if np.abs(direct - oracle[mask]).max() != 0:
                     mismatches += 1
-                if mask % spot_every == 0:
-                    direct = exterior_power_oracle(g, k).weights
-                    if np.abs(direct - oracle).max() != 0:
-                        mismatches += 1
-                    spots += 1
-                checked += 1
+                spots += 1
+            checked += len(masks)
     return checked, mismatches, spots
 
 

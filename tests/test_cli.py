@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
+import sgwalk
 from sgwalk import REPORT_SCHEMA, read_signed_graph, read_weighted_graph
 from sgwalk.cli import UsageError, main, parse_graph_atom, parse_time_expression
 
@@ -354,6 +358,30 @@ def test_power_state_cap_is_a_domain_error(capsys, tmp_path):
             code, out, err = run(capsys, sub, str(target), "--k", str(k))
             assert code == 3 and out == ""
             assert "exceeds the desk-scale cap" in err
+
+
+def test_out_of_memory_is_a_domain_error(tmp_path):
+    resource = pytest.importorskip("resource")
+    limit = 3 << 29  # 1.5 GiB of address space: numpy loads, a huge array does not
+
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    src = os.path.dirname(os.path.dirname(sgwalk.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    k2 = write_k2(tmp_path)
+    # a 100000-vertex complete graph needs 74.5 GiB; a 1e6 scan horizon on K2, 2.4 GiB
+    for argv in (["construct", "--family", "complete", "--n", "100000"],
+                 ["pst-search", k2, "--from", "0", "--to", "1", "--t-max", "1e6"]):
+        proc = subprocess.run([sys.executable, "-m", "sgwalk", *argv], env=env,
+                              preexec_fn=cap_address_space, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: out of memory")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_double_cover_subcommand(capsys, tmp_path):

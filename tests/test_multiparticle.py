@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgwalk import (
     amplitude,
@@ -33,7 +35,7 @@ from sgwalk import (
     symmetric_power,
     symmetrizer,
 )
-from sgwalk.multiparticle import MAX_POWER_STATES
+from sgwalk.multiparticle import MAX_POWER_STATES, _exterior_nets
 
 
 def all_graphs(n):
@@ -79,7 +81,7 @@ def test_multiset_indexing():
 
 def test_antisymmetrizer_and_symmetrizer_are_isometries():
     for n, k in [(4, 2), (5, 2), (5, 3)]:
-        alt = antisymmetrizer(n, k).matrix
+        alt = antisymmetrizer(n, k)
         assert alt.shape == (n ** k, math.comb(n, k))
         assert np.abs(alt.T @ alt - np.eye(alt.shape[1])).max() < 1e-12
         sym = symmetrizer(n, k)
@@ -152,6 +154,39 @@ def test_exterior_power_spectra_negation_duality():
             wk = np.sort(eig_sym(exterior_power(g, k)).eigenvalues)
             wc = np.sort(eig_sym(exterior_power(g, 5 - k)).eigenvalues)
             assert np.abs(np.sort(-wc) - wk).max() < 1e-10
+
+
+@st.composite
+def graph_stacks(draw):
+    """A stack of simple graphs on one vertex count, and an order k."""
+    n = draw(st.integers(2, 7))
+    size = draw(st.integers(1, 5))
+    bits = draw(st.lists(st.integers(0, 1), min_size=size * n * n,
+                         max_size=size * n * n))
+    upper = np.triu(np.array(bits).reshape(size, n, n), k=1)
+    return upper + upper.transpose(0, 2, 1), draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graph_stacks())
+def test_exterior_kernel_batch_members_do_not_interfere(case):
+    stack, k = case
+    nets = _exterior_nets(stack, k)
+    assert nets.shape == (len(stack), math.comb(stack.shape[1], k),
+                          math.comb(stack.shape[1], k))
+    for adj, net in zip(stack, nets):
+        assert np.array_equal(net, exterior_power(from_net_matrix(adj), k).adjacency)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graph_stacks())
+def test_exterior_spectrum_is_the_k_sums_of_the_base_spectrum(case):
+    stack, k = case
+    for adj in stack:
+        base = np.linalg.eigvalsh(adj.astype(float))
+        sums = np.sort([sum(c) for c in itertools.combinations(base, k)])
+        ext = exterior_power(from_net_matrix(adj), k)
+        assert np.abs(np.linalg.eigvalsh(ext.adjacency.astype(float)) - sums).max() < 1e-9
 
 
 def test_symmetric_power_of_the_ring_is_complete_bipartite():
