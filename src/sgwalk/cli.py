@@ -114,12 +114,9 @@ def parse_time_expression(text: str) -> float:
         raise fail()
 
     try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError:
-        raise fail() from None
-    try:
-        value = ev(tree.body)
-    except ZeroDivisionError:
+        value = ev(ast.parse(text, mode="eval").body)
+    except (SyntaxError, ZeroDivisionError, OverflowError, RecursionError):
+        # OverflowError: a literal beyond float range; RecursionError: deep nesting
         raise fail() from None
     if not math.isfinite(value):
         raise fail()

@@ -7,9 +7,9 @@ plain families come out all-positive and can be signed afterwards via
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -142,12 +142,22 @@ def cartesian_product(factors: Sequence[SignedGraph]) -> SignedGraph:
     """
     if not factors:
         raise ValueError("cartesian product needs at least one factor")
-    net = factors[0].adjacency
-    for g in factors[1:]:
-        net = np.kron(net, np.eye(g.n, dtype=np.int64)) + np.kron(
-            np.eye(net.shape[0], dtype=np.int64), g.adjacency
-        )
-    return from_net_matrix(net)
+    return from_net_matrix(_kronecker_sum([g.adjacency for g in factors]))
+
+
+def _kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker sum of square integer matrices, the first one the most
+    significant digit: entry (p, q) of factor i is added at (b + p * low,
+    b + q * low) for every index b whose digit i, of place value low, is 0."""
+    sizes = [m.shape[0] for m in mats]
+    total = math.prod(sizes)
+    out = np.zeros((total, total), dtype=np.int64)
+    for i, m in enumerate(mats):
+        low = math.prod(sizes[i + 1:])
+        base = np.flatnonzero(np.arange(total) // low % sizes[i] == 0)[:, None]
+        p, q = np.nonzero(m)
+        out[base + p * low, base + q * low] += m[p, q]
+    return out
 
 
 def signed_join(g1: SignedGraph, g2: SignedGraph, sign_g1: int,

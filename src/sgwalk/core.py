@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -253,56 +253,54 @@ class BalanceVerdict:
     also_antibalanced: bool = False
 
 
-def is_connected(g) -> bool:
-    """Connectivity of the underlying graph (any-sign edges count)."""
-    if isinstance(g, SignedGraph):
-        adj = g.support
-    else:
-        adj = np.asarray(g.adjacency) != 0
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(adj[u])[0]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
+def _search_tree(net: np.ndarray):
+    """Breadth-first search tree from vertex 0 over the non-zero entries of ``net``.
 
-
-def _constant_sign_switching(net: np.ndarray, target: int) -> Optional[np.ndarray]:
-    # spanning-tree propagation: pick d[0] = +1, force d[u]*s*d[v] == target
-    # along a search tree, then check every remaining edge.
+    Returns d and alt: d[v] is the product of the entries of ``net`` along
+    the tree path 0 -> v (0 where v is unreached), alt[v] is (-1)^depth.
+    """
     n = net.shape[0]
     d = np.zeros(n, dtype=np.int64)
-    d[0] = 1
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(net[u])[0]:
-            if d[v] == 0:
-                d[v] = d[u] * net[u, v] * target
-                stack.append(int(v))
-    uu, vv = np.nonzero(np.triu(net))
-    if np.all(d[uu] * net[uu, vv] * d[vv] == target):
-        return d
-    return None
+    alt = np.zeros(n, dtype=np.int64)
+    d[0] = alt[0] = 1
+    level = np.array([0])
+    while level.size:
+        rows, v = np.nonzero(net[level])
+        rows, v = rows[d[v] == 0], v[d[v] == 0]
+        v, first = np.unique(v, return_index=True)  # one parent per new vertex
+        parent = level[rows[first]]
+        d[v] = d[parent] * net[parent, v]
+        alt[v] = -alt[level[0]]
+        level = v
+    return d, alt
+
+
+def is_connected(g) -> bool:
+    """Connectivity of the underlying graph (any-sign edges count)."""
+    adj = g.support if isinstance(g, SignedGraph) else np.asarray(g.adjacency) != 0
+    return bool(_search_tree(adj)[0].all())
 
 
 def balance_verdict(g: SignedGraph) -> BalanceVerdict:
-    """Classify a connected simple signed graph as balanced, antibalanced or neither."""
+    """Classify a connected simple signed graph as balanced, antibalanced or neither.
+
+    With d[0] = +1 the only candidate switchings are the search tree's sign
+    products d (every tree edge positive) and d * (-1)^depth (every tree edge
+    negative); the remaining edges decide.
+    """
     _require_simple(g, "balance_verdict")
-    if not is_connected(g):
-        raise ValueError("balance verdict requires a connected graph")
     net = g.adjacency
-    bal = _constant_sign_switching(net, +1)
-    anti = _constant_sign_switching(net, -1)
-    if bal is not None:
-        bal.setflags(write=False)
-        return BalanceVerdict("balanced", bal, also_antibalanced=anti is not None)
-    if anti is not None:
+    d, alt = _search_tree(net)
+    if not d.all():
+        raise ValueError("balance verdict requires a connected graph")
+    uu, vv = np.nonzero(np.triu(net))
+    product = d[uu] * net[uu, vv] * d[vv]  # sign of each edge after switching by d
+    antibalanced = bool(np.all(product * alt[uu] * alt[vv] == -1))
+    if np.all(product == 1):
+        d.setflags(write=False)
+        return BalanceVerdict("balanced", d, also_antibalanced=antibalanced)
+    if antibalanced:
+        anti = d * alt
         anti.setflags(write=False)
         return BalanceVerdict("antibalanced", anti)
     return BalanceVerdict("neither", None)

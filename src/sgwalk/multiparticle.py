@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .construct import _kronecker_sum
 from .core import SIMPLE, SignedGraph, WeightedGraph, from_net_matrix
 from .spectral import PstVerdict, is_pst
 
@@ -171,15 +172,7 @@ def _require_unsigned(g: SignedGraph, op: str) -> None:
 def cartesian_power_matrix(g: SignedGraph, k: int) -> np.ndarray:
     """Adjacency of the k-fold Cartesian power as a Kronecker sum."""
     _check_states("n^k", g.n ** k)
-    n = g.n
-    adj = g.adjacency
-    out = np.zeros((n ** k, n ** k), dtype=np.int64)
-    for i in range(k):
-        term = np.eye(n ** i, dtype=np.int64)
-        term = np.kron(term, adj)
-        term = np.kron(term, np.eye(n ** (k - 1 - i), dtype=np.int64))
-        out += term
-    return out
+    return _kronecker_sum([g.adjacency] * k)
 
 
 def _lex_terms(n: int, k: int):
@@ -276,27 +269,17 @@ def boson_formula_comparison(g: SignedGraph, k: int) -> list:
     """
     states = multiset_states(g.n, k)
     ladder = boson_quotient(g, k).weights
-    mismatches = []
-    for ia, a_state in enumerate(states):
-        counts_a = {v: a_state.count(v) for v in a_state}
-        for ib in range(ia + 1, len(states)):
-            actual = float(ladder[ia, ib])
-            if actual == 0.0:
-                continue
-            b_state = states[ib]
-            # the hop moves one particle u -> v
-            a_only = sorted(set(a_state) | set(b_state))
-            diff_down = [v for v in a_only if a_state.count(v) == b_state.count(v) + 1]
-            diff_up = [v for v in a_only if b_state.count(v) == a_state.count(v) + 1]
-            if len(diff_down) != 1 or len(diff_up) != 1:
-                continue
-            u, v = diff_down[0], diff_up[0]
-            a_u = counts_a.get(u, 0)
-            a_v = counts_a.get(v, 0)
-            guess = math.sqrt(max(0.0, (a_u - 1) * (a_v + 1)))
-            if abs(guess - actual) > 1e-9:
-                mismatches.append((a_state, b_state, guess, actual))
-    return mismatches
+    occupation = np.zeros((len(states), g.n), dtype=np.int64)
+    np.add.at(occupation, (np.arange(len(states))[:, None], np.array(states)), 1)
+    ia, ib = np.nonzero(np.triu(ladder, 1))
+    # each non-zero entry is one hop: a particle leaves u and lands on v
+    moved = occupation[ia] - occupation[ib]
+    a_u = occupation[ia, moved.argmax(axis=1)]
+    a_v = occupation[ia, moved.argmin(axis=1)]
+    guess = np.sqrt(np.maximum(0, (a_u - 1) * (a_v + 1)))
+    actual = ladder[ia, ib]
+    miss = np.flatnonzero(np.abs(guess - actual) > 1e-9)
+    return [(states[ia[i]], states[ib[i]], float(guess[i]), float(actual[i])) for i in miss]
 
 
 def fermion_pst_lift(g: SignedGraph, pairs: Sequence, t: float,

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import SIMPLE, SignedGraph, WeightedGraph
+from .core import SignedGraph, WeightedGraph
 from .spectral import WalkAmplitude, amplitude
 
 __all__ = [
@@ -179,31 +179,21 @@ def normalized_partition_matrix(p: Partition) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class QuotientGraph:
-    """Weighted quotient matrix with its partition and exact cell degrees.
+class QuotientGraph(WeightedGraph):
+    """Weighted quotient graph with its partition and exact cell degrees.
 
-    ``matrix`` holds the floating-point quotient entries; the integer
+    ``weights`` holds the floating-point quotient entries; the integer
     profile is kept alongside so every entry can be reproduced exactly
     as sign(d[j,k]) * sqrt(|d[j,k] d[k,j]|).
     """
 
-    matrix: np.ndarray
     partition: Partition
     profile: EquitableProfile
 
-    def __post_init__(self):
-        # a private copy: a view's writable base could change a cached spectrum
-        m = np.array(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
     @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        return self.matrix
+    def matrix(self) -> np.ndarray:
+        """The quotient matrix, the same array as ``weights``."""
+        return self.weights
 
 
 def quotient(g: SignedGraph, p: Partition) -> QuotientGraph:
@@ -221,7 +211,7 @@ def quotient(g: SignedGraph, p: Partition) -> QuotientGraph:
     closed = np.sign(ds) * np.sqrt(np.abs(ds * ds.T).astype(float))
     if np.abs(conjugated - closed).max() > 1e-12:
         raise RuntimeError("quotient entry rule mismatch beyond 1e-12")
-    return QuotientGraph(closed, p, profile)
+    return QuotientGraph(p.m, closed, p, profile)
 
 
 def coarsest_equitable(g: SignedGraph, seed: Optional[Partition] = None) -> Partition:

@@ -65,6 +65,7 @@ from .spectral import (
 from .quotient import (
     is_equitable,
     normalized_partition_matrix,
+    partition_from_cell_of,
     partition_from_cells,
     quotient,
     quotient_transfer_check,
@@ -76,7 +77,6 @@ from .multiparticle import (
     exterior_power,
     exterior_power_oracle,
     multiset_rank,
-    multiset_states,
     subset_rank,
     symmetric_power,
 )
@@ -631,15 +631,9 @@ def _sym_vs_ext() -> list:
 def _boson_orbit_quotient(g: SignedGraph) -> np.ndarray:
     """Independent route to the 2-boson walk: the equitable quotient of the
     two-walker Cartesian square under the coordinate-swap orbit partition."""
-    n = g.n
-    square = from_net_matrix(np.kron(g.adjacency, np.eye(n))
-                             + np.kron(np.eye(n), g.adjacency))
-    cells = [[] for _ in multiset_states(n, 2)]
-    for u in range(n):
-        for v in range(n):
-            state = tuple(sorted((u, v)))
-            cells[multiset_rank(state, n)].append(u * n + v)
-    return quotient(square, partition_from_cells(cells, n * n)).matrix
+    # cells are renumbered by first vertex u*n+v, u <= v: multiset lex order
+    pair_of = [multiset_rank((u, v), g.n) for u in range(g.n) for v in range(g.n)]
+    return quotient(cartesian_product([g, g]), partition_from_cell_of(pair_of)).matrix
 
 
 def _boson_ladder() -> list:

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SignedGraph
+from .core import SignedGraph, is_connected
 
 __all__ = [
     "DEFAULT_TOL",
@@ -322,8 +322,7 @@ def _refine_peaks(spec: Spectrum, weights: np.ndarray, lo: np.ndarray,
         lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
 
 
-def pst_search(graph, a: int, b: int, t_max: float,
-               grid_step: float = DEFAULT_GRID_STEP,
+def pst_search(graph, a: int, b: int, t_max: float, *,
                tol: float = DEFAULT_TOL) -> list:
     """Scan (0, t_max] for transfer (a != b) or return (a == b) peaks.
 
@@ -337,13 +336,11 @@ def pst_search(graph, a: int, b: int, t_max: float,
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
     spec = eig_sym(graph)
     weights = _weights(spec, a, b)
     a, b = int(a), int(b)
     _check_phase_range(spec, t_max)  # before a horizon like 1e300 sizes the grid
-    steps = max(2, int(math.ceil(t_max / grid_step)))
+    steps = max(2, int(math.ceil(t_max / DEFAULT_GRID_STEP)))
     ts = np.linspace(0.0, t_max, steps + 1)
     fids = np.empty_like(ts)
     for i in range(0, len(ts), _SCAN_ROWS):
@@ -450,7 +447,6 @@ def signed_join_amplitude(g1: SignedGraph, g2: SignedGraph, a: int, b: int,
     G1 must be connected and regular (the formula pins its top
     eigenvector to the all-ones vector); G2 must be regular.
     """
-    from .core import is_connected
     from .construct import regular_stats
 
     stats1, stats2 = regular_stats(g1), regular_stats(g2)

@@ -1,5 +1,7 @@
 """Command-line interface: formats, golden lines, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgwalk
 from sgwalk import REPORT_SCHEMA, read_signed_graph, read_weighted_graph
@@ -44,9 +48,61 @@ def test_time_expressions():
     assert parse_time_expression("-pi + 3") == pytest.approx(3 - math.pi)
     assert parse_time_expression("0.5") == 0.5
     for bad in ("pi)", "1/0", "sqrt(-1)", "pi**2", "__import__('os')",
-                "sqrt(1, 2)", "x", "2 if 1 else 3"):
+                "sqrt(1, 2)", "x", "2 if 1 else 3",
+                "1" + "0" * 400,  # an integer literal beyond float range
+                "-" * 3000 + "1", "1+" * 3000 + "1"):  # nesting beyond the recursion limit
         with pytest.raises(UsageError):
             parse_time_expression(bad)
+
+
+_TIME_ATOMS = st.sampled_from(["pi", "0", "1", "2.5", "1e308", "1e-320", "9" * 400, "sqrt(2)", "x"])
+_TIMES = st.one_of(
+    st.recursive(_TIME_ATOMS, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: "(%s%s%s)" % t),
+        inner.map(lambda e: f"sqrt({e})"), inner.map(lambda e: f"-{e}"))),
+    st.text(alphabet="0123456789+-*/.()e pisqrt,_", max_size=30))
+_NUMBERS = st.one_of(st.integers(-3, 70).map(str), st.sampled_from(["x", "1.5", "", "+1"]))
+_EDGE_LINES = st.one_of(
+    st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from(
+        ["+1", "-1", "1", "0.5", "-2.5"])).map(lambda e: "%d %d %s" % e),
+    st.tuples(_NUMBERS, _NUMBERS, st.sampled_from(
+        ["+1", "-1", "0", "2", "inf", "nan", "1e308", "x"])).map(" ".join),
+    st.text(alphabet="0123456789 n+-.#x\t", max_size=12))
+# headers stay at n <= 64: a larger n allocates n x n arrays before any check
+# (the out-of-memory test covers that under an address-space limit)
+_HEADERS = st.one_of(st.integers(1, 12).map(lambda n: f"n {n}"),
+                     st.integers(-1, 64).map(lambda n: f"n {n}"),
+                     st.sampled_from(["", "n", "n x", "n 2 3", "m 4", "n 1e3"]))
+_CELLS = st.one_of(
+    st.lists(st.lists(st.integers(-1, 5), max_size=4), max_size=5).map(
+        lambda cells: ";".join(",".join(map(str, c)) for c in cells)),
+    st.text(alphabet="0123456789;, -x", max_size=20))
+
+
+def _exit_code(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_TIMES, _HEADERS, st.lists(_EDGE_LINES, max_size=8), _CELLS)
+def test_text_parsers_never_exit_1(tmp_path_factory, time, header, lines, cells):
+    base = tmp_path_factory.getbasetemp()
+    k2, square = write_k2(base), write_square(base)
+    fuzzed = base / "fuzzed.txt"
+    fuzzed.write_text("\n".join([header, *lines]) + "\n")
+    for argv in (["walk", k2, "--from", "0", "--to", "1", f"--time={time}"],
+                 ["walk", str(fuzzed), "--from", "0", "--to", "0", "--time", "1"],
+                 ["balance", str(fuzzed)],
+                 ["quotient", square, f"--cells={cells}"]):
+        code, err = _exit_code(*argv)
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err
 
 
 def test_graph_atoms():

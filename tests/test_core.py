@@ -113,28 +113,54 @@ def test_switch_involution_and_spectrum():
         assert np.abs(before - after).max() < 1e-10
 
 
-def test_balance_verdict_against_brute_force():
-    # every signing of C4 and K4 versus the try-all-switchings oracle
-    for signs in itertools.product((1, -1), repeat=4):
-        g = square(signs)
-        verdict = balance_verdict(g)
-        balanced, antibalanced = brute_force_balance(g)
-        if balanced:
-            assert verdict.status == "balanced"
-            assert verdict.also_antibalanced == antibalanced
-        elif antibalanced:
-            assert verdict.status == "antibalanced"
-        else:
-            assert verdict.status == "neither"
+def assert_verdict_matches_brute_force(g):
+    verdict = balance_verdict(g)
+    balanced, antibalanced = brute_force_balance(g)
+    expected = "balanced" if balanced else (
+        "antibalanced" if antibalanced else "neither")
+    assert verdict.status == expected
+    assert verdict.also_antibalanced == (balanced and antibalanced)
+    if verdict.witness is not None:
+        switched = switch(g, verdict.witness)
+        assert not (switched.neg if balanced else switched.pos).any()
 
+
+@st.composite
+def connected_signed_graphs(draw):
+    """Simple signed graphs on 2-9 vertices around a random spanning tree,
+    signed at random or as a switching of one constant sign."""
+    n = draw(st.integers(2, 9))
+    support = np.zeros((n, n), dtype=np.int64)
+    for v in range(1, n):
+        support[draw(st.integers(0, v - 1)), v] = 1
+    for u, v in itertools.combinations(range(n), 2):
+        support[u, v] |= draw(st.booleans())
+    signs = st.lists(st.sampled_from((1, -1)), min_size=n * n, max_size=n * n)
+    constant = draw(st.sampled_from((0, 1, -1)))  # 0: random signs
+    if constant:
+        d = np.array(draw(signs)[:n])
+        signed = constant * np.outer(d, d) * support
+    else:
+        signed = np.array(draw(signs)).reshape(n, n) * support
+    return from_net_matrix(signed + signed.T)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(connected_signed_graphs())
+def check_connected_graph_verdicts(g):
+    assert_verdict_matches_brute_force(g)
+
+
+def test_balance_verdict_against_brute_force():
+    # every signing of C4 and K4, then random connected graphs, versus the
+    # try-all-switchings oracle
+    for signs in itertools.product((1, -1), repeat=4):
+        assert_verdict_matches_brute_force(square(signs))
     pairs = list(itertools.combinations(range(4), 2))
     for signs in itertools.product((1, -1), repeat=6):
-        g = build_signed_graph(4, [(u, v, s) for (u, v), s in zip(pairs, signs)])
-        verdict = balance_verdict(g)
-        balanced, antibalanced = brute_force_balance(g)
-        expected = "balanced" if balanced else (
-            "antibalanced" if antibalanced else "neither")
-        assert verdict.status == expected
+        assert_verdict_matches_brute_force(
+            build_signed_graph(4, [(u, v, s) for (u, v), s in zip(pairs, signs)]))
+    check_connected_graph_verdicts()
 
 
 def test_balance_witness_switches_to_constant_sign():

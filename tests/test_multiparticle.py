@@ -15,6 +15,7 @@ from sgwalk import (
     boson_quotient,
     build_signed_graph,
     cartesian_power_matrix,
+    cartesian_product,
     complete,
     complete_bipartite,
     cycle,
@@ -89,12 +90,27 @@ def test_antisymmetrizer_and_symmetrizer_are_isometries():
         assert np.abs(sym.T @ sym - np.eye(sym.shape[1])).max() < 1e-12
 
 
+def kronecker_sum_reference(mats):
+    """Sum over i of I (x) ... (x) mats[i] (x) ... (x) I, by np.kron."""
+    total = 0
+    for i in range(len(mats)):
+        term = np.ones((1, 1), dtype=np.int64)
+        for j, m in enumerate(mats):
+            term = np.kron(term, m if i == j else np.eye(len(m), dtype=np.int64))
+        total = total + term
+    return total
+
+
 def test_cartesian_power_matrix_is_a_kronecker_sum():
     g = path(3)
-    box = cartesian_power_matrix(g, 2)
     a = g.adjacency
     eye = np.eye(3, dtype=np.int64)
-    assert np.array_equal(box, np.kron(a, eye) + np.kron(eye, a))
+    assert np.array_equal(cartesian_power_matrix(g, 2), np.kron(a, eye) + np.kron(eye, a))
+    assert np.array_equal(cartesian_power_matrix(g, 3), kronecker_sum_reference([a] * 3))
+    # unequal, signed factors, the first the most significant: K2 x C3 x P4
+    factors = [build_signed_graph(2, [(0, 1, -1)]), cycle(3), path(4)]
+    assert np.array_equal(cartesian_product(factors).adjacency,
+                          kronecker_sum_reference([f.adjacency for f in factors]))
 
 
 def test_exterior_power_sign_rule_matches_conjugation_exhaustively():

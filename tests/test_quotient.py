@@ -84,7 +84,7 @@ def test_quotient_matrix_of_the_edge_join():
     # the value keeps its own matrix: writing through a view's base leaves
     # it (and so its once-computed spectrum) unchanged
     base = np.array(expected)
-    view_quot = dataclasses.replace(quot, matrix=base[:, :])
+    view_quot = dataclasses.replace(quot, weights=base[:, :])
     base[0, 0] = 99.0
     assert np.array_equal(view_quot.matrix, expected)
     assert not view_quot.matrix.flags.writeable

@@ -388,6 +388,8 @@ def test_pst_search_periodicity_mode():
     assert abs(hits[0].time - math.pi / 2) < 1e-6
     with pytest.raises(ValueError):
         pst_search(complete(4), 0, 0, -1.0)
+    with pytest.raises(TypeError):  # tol is keyword-only
+        pst_search(complete(4), 0, 0, 2.0, 1e-3)
 
 
 def test_join_spectral_data_matches_dense_spectrum():
