@@ -46,7 +46,6 @@ from .quotient import (
     partition_from_cells,
     quotient,
     read_partition,
-    single_cell_partition,
 )
 from .scenarios import (
     SCENARIO_IDS,
@@ -410,9 +409,7 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
 
 def cmd_quotient(args: argparse.Namespace) -> int:
     graph = load_signed_graph(args.graph)
-    if args.cells:
-        cells = parse_cells(args.cells)
-    elif args.partition:
+    if args.partition:  # the parser keeps --cells out
         try:
             partition = read_partition(args.partition, n=graph.n)
         except OSError as exc:
@@ -421,14 +418,11 @@ def cmd_quotient(args: argparse.Namespace) -> int:
             ) from None
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        cells = [list(cell) for cell in partition.cells]
-    else:
-        cells = None
     try:
-        if cells is None:
-            partition = coarsest_equitable(graph, single_cell_partition(graph.n))
-        else:
-            partition = partition_from_cells(cells, n=graph.n)
+        if args.cells:
+            partition = partition_from_cells(parse_cells(args.cells), n=graph.n)
+        elif not args.partition:
+            partition = coarsest_equitable(graph)
         quot = quotient(graph, partition)
     except ValueError as exc:
         raise DomainError(str(exc)) from None
@@ -448,7 +442,12 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     return 0
 
 
-def _power_command(args: argparse.Namespace, builder, labeler) -> int:
+def cmd_power(args: argparse.Namespace) -> int:
+    # looked up per call, not bound into the once-built parser, so that a
+    # caller who rebinds these names (a tracer, a test double) is honoured
+    builder, labeler = {"exterior": (exterior_power, k_subsets),
+                        "symmetric": (symmetric_power, k_subsets),
+                        "boson": (boson_quotient, multiset_states)}[args.command]
     graph = load_signed_graph(args.graph)
     try:
         power = builder(graph, args.k)
@@ -457,18 +456,6 @@ def _power_command(args: argparse.Namespace, builder, labeler) -> int:
     labels = labeler(graph.n, args.k)
     emit_graph(args, power, labels)
     return 0
-
-
-def cmd_exterior(args: argparse.Namespace) -> int:
-    return _power_command(args, exterior_power, k_subsets)
-
-
-def cmd_symmetric(args: argparse.Namespace) -> int:
-    return _power_command(args, symmetric_power, k_subsets)
-
-
-def cmd_boson(args: argparse.Namespace) -> int:
-    return _power_command(args, boson_quotient, multiset_states)
 
 
 def cmd_double_cover(args: argparse.Namespace) -> int:
@@ -619,19 +606,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quotient", parents=[common],
                        help="equitable-partition quotient of a signed graph")
     p.add_argument("graph", help="edge-list file")
-    p.add_argument("--cells", help="inline cells, e.g. '0;1;2,3,4,5'")
-    p.add_argument("--partition", help="partition file: one cell per line")
+    cells = p.add_mutually_exclusive_group()
+    cells.add_argument("--cells", help="inline cells, e.g. '0;1;2,3,4,5'")
+    cells.add_argument("--partition", help="partition file: one cell per line")
     p.set_defaults(handler=cmd_quotient)
 
-    for name, handler, blurb in (
-        ("exterior", cmd_exterior, "signed k-fermion exterior power"),
-        ("symmetric", cmd_symmetric, "unsigned k-th symmetric power"),
-        ("boson", cmd_boson, "weighted k-boson quotient"),
+    for name, blurb in (
+        ("exterior", "signed k-fermion exterior power"),
+        ("symmetric", "unsigned k-th symmetric power"),
+        ("boson", "weighted k-boson quotient"),
     ):
         p = sub.add_parser(name, parents=[common], help=blurb)
         p.add_argument("graph", help="edge-list file, all-positive")
         p.add_argument("--k", type=int, required=True, help="particle count")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=cmd_power)
 
     p = sub.add_parser("double-cover", parents=[common],
                        help="two-layer cover: vertex (u, b) sits at index 2u+b")

@@ -389,6 +389,8 @@ def _parse_edge_lines(text: str, source: str):
                 raise ValueError(f"{source}:{lineno}: bad vertex count {parts[1]!r}") from None
             if n < 1:
                 raise ValueError(f"{source}:{lineno}: vertex count must be positive")
+            if 8 * n * n > np.iinfo(np.intp).max:  # no n x n int64 layer can be addressed
+                raise ValueError(f"{source}:{lineno}: vertex count {n} is too large")
             continue
         if len(parts) != 3:
             raise ValueError(f"{source}:{lineno}: expected 'u v s'")

@@ -39,6 +39,7 @@ __all__ = [
     "exterior_power_oracle",
     "symmetric_power",
     "boson_quotient",
+    "boson_quotient_oracle",
     "boson_formula_comparison",
     "fermion_pst_lift",
 ]
@@ -105,27 +106,12 @@ def multiset_rank(state: Sequence[int], n: int) -> int:
     return subset_rank([v + i for i, v in enumerate(m)], n + len(m) - 1)
 
 
-def _tuple_index(t: Sequence[int], n: int) -> int:
-    idx = 0
-    for v in t:
-        idx = idx * n + v
-    return idx
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def _check_states(label: str, count: int) -> int:
     if count > MAX_POWER_STATES:
+        # str() refuses integers of more than 4,300 digits
+        size = count if count.bit_length() <= 64 else f"2^{count.bit_length() - 1} or more"
         raise ValueError(
-            f"{label} = {count} exceeds the desk-scale cap of {MAX_POWER_STATES} states"
+            f"{label} = {size} exceeds the desk-scale cap of {MAX_POWER_STATES} states"
         )
     return count
 
@@ -137,14 +123,13 @@ def antisymmetrizer(n: int, k: int) -> np.ndarray:
     pi(S); columns are orthonormal (disjoint supports, unit norm).
     """
     _check_states("n^k", n ** k)
-    subsets = k_subsets(n, k)
-    norm = 1.0 / math.sqrt(math.factorial(k))
+    subsets = np.array(k_subsets(n, k))
+    places = n ** np.arange(k - 1, -1, -1)  # tuple index, first coordinate most significant
     mat = np.zeros((n ** k, len(subsets)))
-    for col, subset in enumerate(subsets):
-        for perm in itertools.permutations(range(k)):
-            row = _tuple_index([subset[p] for p in perm], n)
-            mat[row, col] = _perm_sign(perm) * norm
-    return mat
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        mat[subsets[:, perm] @ places, np.arange(len(subsets))] = (-1) ** inversions
+    return mat / math.sqrt(math.factorial(k))
 
 
 def symmetrizer(n: int, k: int) -> np.ndarray:
@@ -154,14 +139,12 @@ def symmetrizer(n: int, k: int) -> np.ndarray:
     distinct arrangements.
     """
     _check_states("n^k", n ** k)
-    states = multiset_states(n, k)
+    states = np.array(multiset_states(n, k))
+    places = n ** np.arange(k - 1, -1, -1)
     mat = np.zeros((n ** k, len(states)))
-    for col, state in enumerate(states):
-        orbit = set(itertools.permutations(state))
-        value = 1.0 / math.sqrt(len(orbit))
-        for arrangement in orbit:
-            mat[_tuple_index(arrangement, n), col] = value
-    return mat
+    for perm in itertools.permutations(range(k)):
+        mat[states[:, perm] @ places, np.arange(len(states))] = 1.0
+    return mat / np.sqrt(mat.sum(axis=0))  # a column sum is its orbit's size
 
 
 def _require_unsigned(g: SignedGraph, op: str) -> None:
@@ -187,30 +170,41 @@ def _lex_terms(n: int, k: int):
     return lambda a, q: table[n - k - a + q + 1, k - q]
 
 
-def _exterior_nets(adj: np.ndarray, k: int) -> np.ndarray:
-    """Net matrices of the k-th exterior powers of a stack of unsigned
-    adjacencies: shape (B, n, n) in, (B, C(n, k), C(n, k)) out."""
+def _hop_nets(adj: np.ndarray, k: int, bosons: bool) -> np.ndarray:
+    """Hop matrices of k particles on a stack of unsigned adjacencies,
+    (B, n, n) in, (B, S, S) out, over the lex-ordered k-subsets (fermions,
+    int64 signs) or k-multisets (bosons, float weights).
+
+    Each hop u -> v is met once, from its lower state (v > u).  A fermion
+    hop carries (-1)^(occupied sites strictly between u and v); a boson hop
+    moves the first particle on u and carries sqrt(a_u (a_v + 1)) for the
+    occupations a before it.  :func:`subset_rank`'s closed form ranks each
+    target, a multiset m as the k-subset (m_i + i) of 0..n+k-2.
+    """
     n = adj.shape[-1]
-    count = _check_states("C(n, k)", math.comb(n, k))  # before any allocation
-    subsets = np.array(k_subsets(n, k), dtype=np.int64)
-    member = np.zeros((count, n), dtype=bool)
-    member[np.arange(count)[:, None], subsets] = True
-    at_or_below = np.cumsum(member, axis=1)  # members <= v
-    term, q = _lex_terms(n, k), np.arange(k)
-    own = term(subsets, q)
-    # Moving a_r up to v shifts a_{r+1} .. a_s down one position; shift[:, s]
-    # - shift[:, r] is what that adds to the rank of A.
-    shift = np.zeros((count, k), dtype=np.int64)
-    shift[:, 1:] = np.cumsum(own[:, 1:] - term(subsets[:, 1:], q[:-1]), axis=1)
-    rank = count - 1 - own.sum(axis=1)
-    net = np.zeros((len(adj), count, count), dtype=np.int64)
-    for r in range(k):
-        u = subsets[:, r]
-        # only v > u: then B ranks after A, and each edge is met from A once
-        ig, ia, v = np.nonzero((adj[:, u] > 0) & (np.arange(n) > u[:, None]) & ~member)
-        s = at_or_below[ia, v] - 1  # position of v in B
-        ib = (rank + own[:, r] - shift[:, r])[ia] + shift[ia, s] - term(v, s)
-        net[ig, ia, ib] = net[ig, ib, ia] = 1 - 2 * ((r + s) % 2)
+    top = n + k - 1 if bosons else n  # the subsets' ground set is 0..top-1
+    count = _check_states("C(n+k-1, k)" if bosons else "C(n, k)", math.comb(top, k))
+    states = np.array((multiset_states if bosons else k_subsets)(n, k), dtype=np.int64)
+    occupied = np.zeros((count, n), dtype=np.int64)
+    np.add.at(occupied, (np.arange(count)[:, None], states), 1)
+    at_or_below = np.cumsum(occupied, axis=1)  # particles on sites <= v
+    term, q = _lex_terms(top, k), np.arange(k)
+    # hop[g, a, r, v]: in graph g, the particle at position r of state a hops to v
+    hop = (adj > 0)[:, states] & (np.arange(n) > states[..., None])
+    if bosons:
+        hop[:, :, 1:] &= (states[:, 1:] != states[:, :-1])[..., None]  # first particle on u
+    else:
+        hop &= (occupied == 0)[:, None]
+    ig, ia, r, v = np.nonzero(hop)
+    u = states[ia, r]
+    target = np.sort(np.where(q == r[:, None], v[:, None], states[ia]), axis=1)
+    ib = count - 1 - term(target + q if bosons else target, q).sum(axis=1)
+    net = np.zeros((len(adj), count, count), dtype=float if bosons else np.int64)
+    if bosons:
+        net[ig, ia, ib] = np.sqrt(occupied[ia, u] * (occupied[ia, v] + 1))
+    else:
+        net[ig, ia, ib] = 1 - 2 * ((at_or_below[ia, v] - at_or_below[ia, u]) % 2)
+    net[ig, ib, ia] = net[ig, ia, ib]
     return net
 
 
@@ -223,15 +217,14 @@ def exterior_power(g: SignedGraph, k: int) -> SignedGraph:
     permutation between the two sorted tuples).
     """
     _require_unsigned(g, "exterior_power")
-    return from_net_matrix(_exterior_nets(g.pos[None], k)[0])
+    return from_net_matrix(_hop_nets(g.pos[None], k, False)[0])
 
 
 def exterior_power_oracle(g: SignedGraph, k: int) -> WeightedGraph:
     """Independent route to the exterior power: conjugate the Cartesian
     power by the antisymmetrizer and round to exact {-1, 0, +1} entries."""
     _require_unsigned(g, "exterior_power_oracle")
-    _check_states("n^k", g.n ** k)
-    alt = antisymmetrizer(g.n, k)
+    alt = antisymmetrizer(g.n, k)  # checks the n^k cap first
     box = cartesian_power_matrix(g, k).astype(float)
     w = alt.T @ box @ alt
     rounded = np.rint(w)
@@ -246,15 +239,22 @@ def symmetric_power(g: SignedGraph, k: int) -> SignedGraph:
     """Unsigned k-th symmetric power: same support as the exterior power,
     every edge positive."""
     _require_unsigned(g, "symmetric_power")
-    return from_net_matrix(np.abs(_exterior_nets(g.pos[None], k)[0]))
+    return from_net_matrix(np.abs(_hop_nets(g.pos[None], k, False)[0]))
 
 
 def boson_quotient(g: SignedGraph, k: int) -> WeightedGraph:
-    """Weighted walk of k bosons: the Cartesian power conjugated by the
-    multiset symmetrizer.  States are the k-multisets in lex order."""
+    """Weighted walk of k bosons on the k-multisets in lex order: a hop
+    u -> v carries sqrt(a_u (a_v + 1)) for occupations a before the hop."""
     _require_unsigned(g, "boson_quotient")
-    _check_states("n^k", g.n ** k)
-    sym = symmetrizer(g.n, k)
+    net = _hop_nets(g.pos[None], k, True)[0]
+    return WeightedGraph(len(net), net)
+
+
+def boson_quotient_oracle(g: SignedGraph, k: int) -> WeightedGraph:
+    """Independent route to the boson walk: the Cartesian power
+    conjugated by the multiset symmetrizer."""
+    _require_unsigned(g, "boson_quotient_oracle")
+    sym = symmetrizer(g.n, k)  # checks the n^k cap first
     box = cartesian_power_matrix(g, k).astype(float)
     return WeightedGraph(sym.shape[1], sym.T @ box @ sym)
 

@@ -145,17 +145,19 @@ class EquitableProfile:
         return self.d_plus - self.d_minus
 
 
-def _indicator(p: Partition) -> np.ndarray:
-    mat = np.zeros((p.n, p.m), dtype=np.int64)
-    mat[np.arange(p.n), p.cell_of] = 1
-    return mat
+def _edge_scan(g: SignedGraph) -> list:
+    """Each layer's edges, each direction once, as arrays (v, u, multiplicity):
+    the one read of the n x n layers that a count needs."""
+    return [(v, u, layer[v, u]) for layer in (g.pos, g.neg) for v, u in [np.nonzero(layer)]]
 
 
-def _cell_counts(g: SignedGraph, p: Partition) -> np.ndarray:
+def _cell_counts(edges: list, p: Partition) -> np.ndarray:
     """Row v: the positive, then the negative neighbour counts of v in
-    each cell of ``p`` (shape n x 2m)."""
-    ind = _indicator(p)
-    return np.hstack([g.pos @ ind, g.neg @ ind])
+    each cell of ``p`` (shape n x 2m), from :func:`_edge_scan`'s edges."""
+    counts = np.zeros((p.n, 2, p.m), dtype=np.int64)
+    for layer, (v, u, multiplicity) in enumerate(edges):
+        np.add.at(counts[:, layer], (v, p.cell_of[u]), multiplicity)
+    return counts.reshape(p.n, 2 * p.m)
 
 
 def is_equitable(g: SignedGraph, p: Partition):
@@ -165,7 +167,7 @@ def is_equitable(g: SignedGraph, p: Partition):
     """
     if p.n != g.n:
         raise ValueError("partition size does not match the graph")
-    counts = _cell_counts(g, p)
+    counts = _cell_counts(_edge_scan(g), p)
     _, first = np.unique(p.cell_of, return_index=True)  # first vertex of each cell
     rows = counts[first]
     if np.any(counts != rows[p.cell_of]):
@@ -175,7 +177,9 @@ def is_equitable(g: SignedGraph, p: Partition):
 
 def normalized_partition_matrix(p: Partition) -> np.ndarray:
     """Column-orthonormal indicator: column k is 1/sqrt(|cell k|) on cell k."""
-    return _indicator(p) / np.sqrt(p.sizes())
+    mat = np.zeros((p.n, p.m))
+    mat[np.arange(p.n), p.cell_of] = 1 / np.sqrt(p.sizes())[p.cell_of]
+    return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +228,9 @@ def coarsest_equitable(g: SignedGraph, seed: Optional[Partition] = None) -> Part
     part = seed if seed is not None else single_cell_partition(g.n)
     if part.n != g.n:
         raise ValueError("seed partition size does not match the graph")
+    edges = _edge_scan(g)
     while True:
-        signatures = np.column_stack([part.cell_of, _cell_counts(g, part)])
+        signatures = np.column_stack([part.cell_of, _cell_counts(edges, part)])
         _, new_cell_of = np.unique(signatures, axis=0, return_inverse=True)
         refined = partition_from_cell_of(new_cell_of.reshape(-1))
         if refined.m == part.m:

@@ -71,12 +71,12 @@ from .quotient import (
     quotient_transfer_check,
 )
 from .multiparticle import (
-    _exterior_nets,
+    _hop_nets,
     boson_formula_comparison,
     boson_quotient,
+    boson_quotient_oracle,
     exterior_power,
     exterior_power_oracle,
-    multiset_rank,
     subset_rank,
     symmetric_power,
 )
@@ -487,7 +487,7 @@ def _exhaustive_sign_rule(max_n: int = 5, spot_every: int = 97):
                 exterior_power_oracle(build_signed_graph(n, [(u, v, 1)]), k).weights
                 for (u, v) in pairs])
             oracle = np.tensordot(bits, basis, 1)
-            built = _exterior_nets(adj, k)
+            built = _hop_nets(adj, k, False)
             mismatches += int((built != oracle).any(axis=(1, 2)).sum())
             for mask in masks[::spot_every]:
                 direct = exterior_power_oracle(from_net_matrix(adj[mask]), k).weights
@@ -631,8 +631,9 @@ def _sym_vs_ext() -> list:
 def _boson_orbit_quotient(g: SignedGraph) -> np.ndarray:
     """Independent route to the 2-boson walk: the equitable quotient of the
     two-walker Cartesian square under the coordinate-swap orbit partition."""
-    # cells are renumbered by first vertex u*n+v, u <= v: multiset lex order
-    pair_of = [multiset_rank((u, v), g.n) for u in range(g.n) for v in range(g.n)]
+    # one label per unordered pair; cells numbered by first vertex u*n+v (u <= v): lex order
+    u, v = np.divmod(np.arange(g.n ** 2), g.n)
+    pair_of = np.minimum(u, v) * g.n + np.maximum(u, v)
     return quotient(cartesian_product([g, g]), partition_from_cell_of(pair_of)).matrix
 
 
@@ -648,7 +649,8 @@ def _boson_ladder() -> list:
     claims.append(_yes("two bosons on one edge walk on a 3-state ladder with "
                        "both hops sqrt(2)", ladder_ok, "derived",
                        measured=f"hops {fixed(w[0, 1])}, {fixed(w[1, 2])}"))
-    dev = max(float(np.abs(_boson_orbit_quotient(g) - boson_quotient(g, 2).weights).max())
+    dev = max(float(np.abs(_boson_orbit_quotient(g) - np.stack(
+                  [boson_quotient_oracle(g, 2).weights, boson_quotient(g, 2).weights])).max())
               for g in (k2, cycle(3), complete(4)))
     claims.append(_close("symmetrizer conjugation agrees with the "
                          "orbit-partition quotient of the two-walker square",

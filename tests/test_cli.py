@@ -312,7 +312,11 @@ def test_meaningless_numbers_fail_cleanly(capsys, tmp_path):
                         ("n 2\n0 1 0.5\n0 1 0.5\n", "duplicate entry for (0, 1)"),
                         # legal parallel signed edges: the self-loop is the fault
                         ("n 3\n0 1 1\n0 1 1\n2 2 1\n", "self-loop at vertex 2"),
-                        ("n 2\n0 1 1\n0 1 1\n0 1 2\n", "got '2'")]:
+                        ("n 2\n0 1 1\n0 1 1\n0 1 2\n", "got '2'"),
+                        # headers whose n x n layers numpy cannot address
+                        ("n 10000000000\n", ":1: vertex count 10000000000 is too large"),
+                        ("n 100000000000000000000\n",
+                         ":1: vertex count 100000000000000000000 is too large")]:
         graph.write_text(text)
         code, out, err = run(capsys, "walk", str(graph), "--from", "0",
                              "--to", "1", "--time", "pi/2")
@@ -388,6 +392,13 @@ def test_quotient_outputs(capsys, tmp_path):
     code, _, err = run(capsys, "quotient", str(target),
                        "--cells", "0;1,2;3,4,5")
     assert code == 3 and "equitable" in err
+    # inline cells and a partition file exclude each other
+    partition = tmp_path / "cells.txt"
+    partition.write_text("0\n1\n2 3 4 5\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["quotient", str(target), "--cells", "0;1;2,3,4,5", "--partition", str(partition)])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument --cells" in capsys.readouterr().err
 
 
 def test_power_subcommands(capsys, tmp_path):
@@ -398,7 +409,7 @@ def test_power_subcommands(capsys, tmp_path):
     assert "# state 0 = (0, 1)" in out
     code, out, _ = run(capsys, "boson", write_k2(tmp_path), "--k", "2")
     assert code == 0
-    assert "1.41421356237309" in out
+    assert "1.4142135623731" in out  # sqrt(2), correctly rounded to 15 digits
     code, _, err = run(capsys, "exterior",
                        write_square(tmp_path, signs=(-1, 1, 1, 1)), "--k", "2")
     assert code == 3  # signed base graph is outside the fermionic domain
@@ -414,6 +425,19 @@ def test_power_state_cap_is_a_domain_error(capsys, tmp_path):
             code, out, err = run(capsys, sub, str(target), "--k", str(k))
             assert code == 3 and out == ""
             assert "exceeds the desk-scale cap" in err
+    # bosons are capped by C(n+k-1, k), checked at once even for a huge k
+    triangle = tmp_path / "c3.txt"
+    triangle.write_text("n 3\n0 1 +1\n1 2 +1\n0 2 +1\n")
+    for k in ("100000000", "1000000"):
+        code, out, err = run(capsys, "boson", str(triangle), "--k", k)
+        assert code == 3 and out == ""
+        assert err.startswith("error: C(n+k-1, k) = ") and "desk-scale cap" in err
+    target = tmp_path / "cubic.txt"
+    main(["construct", "--family", "circulant", "--n", "12", "--conn", "1,6",
+          "--out", str(target)])
+    capsys.readouterr()
+    code, out, _ = run(capsys, "boson", str(target), "--k", "3")  # 12^3 = 1728 tuples
+    assert code == 0 and out.splitlines()[0] == "n 364"
 
 
 def test_out_of_memory_is_a_domain_error(tmp_path):

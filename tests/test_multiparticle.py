@@ -13,6 +13,7 @@ from sgwalk import (
     antisymmetrizer,
     boson_formula_comparison,
     boson_quotient,
+    boson_quotient_oracle,
     build_signed_graph,
     cartesian_power_matrix,
     cartesian_product,
@@ -36,7 +37,7 @@ from sgwalk import (
     symmetric_power,
     symmetrizer,
 )
-from sgwalk.multiparticle import MAX_POWER_STATES, _exterior_nets
+from sgwalk.multiparticle import MAX_POWER_STATES, _hop_nets
 
 
 def all_graphs(n):
@@ -187,11 +188,34 @@ def graph_stacks(draw):
 @given(graph_stacks())
 def test_exterior_kernel_batch_members_do_not_interfere(case):
     stack, k = case
-    nets = _exterior_nets(stack, k)
-    assert nets.shape == (len(stack), math.comb(stack.shape[1], k),
-                          math.comb(stack.shape[1], k))
-    for adj, net in zip(stack, nets):
-        assert np.array_equal(net, exterior_power(from_net_matrix(adj), k).adjacency)
+    n = stack.shape[1]
+    for bosons, count, build in ((False, math.comb(n, k), exterior_power),
+                                 (True, math.comb(n + k - 1, k), boson_quotient)):
+        nets = _hop_nets(stack, k, bosons)
+        assert nets.shape == (len(stack), count, count)
+        for adj, net in zip(stack, nets):
+            assert np.array_equal(net, build(from_net_matrix(adj), k).adjacency)
+
+
+@st.composite
+def boson_cases(draw):
+    """A simple graph on 2-7 vertices and an order k <= 3 with n^k <= 1300."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, 3))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+    upper = np.triu(np.array(bits).reshape(n, n), k=1)
+    return from_net_matrix(upper + upper.T), k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(boson_cases())
+def test_boson_quotient_matches_the_symmetrizer_oracle(case):
+    g, k = case
+    built = boson_quotient(g, k).weights
+    assert np.abs(built - boson_quotient_oracle(g, k).weights).max() < 1e-12
+    base = np.linalg.eigvalsh(g.adjacency.astype(float))
+    sums = np.sort([sum(c) for c in itertools.combinations_with_replacement(base, k)])
+    assert np.abs(np.linalg.eigvalsh(built) - sums).max() < 1e-9
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -313,3 +337,5 @@ def test_power_domain_checks():
         with pytest.raises(ValueError, match="desk-scale cap"):
             symmetric_power(g, k)
     assert exterior_power(cycle(1300), 1).n == MAX_POWER_STATES
+    # bosons are capped by their C(n+k-1, k) states, not by the n^k tuples
+    assert boson_quotient(random_regular(12, 3, seed=1), 3).n == 364

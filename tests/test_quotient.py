@@ -21,6 +21,7 @@ from sgwalk import (
     normalized_partition_matrix,
     partition_from_cell_of,
     partition_from_cells,
+    propagator,
     quotient,
     quotient_transfer_check,
     read_partition,
@@ -229,3 +230,15 @@ def test_equitable_partitions_match_their_definitions(case):
         if ok:
             got = np.stack([profile.d_plus, profile.d_minus], axis=-1)
             assert np.array_equal(got, np.array(want).reshape(got.shape))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seeded_multigraphs(), st.floats(0.0, 10.0))
+def test_quotient_walk_is_the_compressed_full_walk(case, t):
+    # A Q = Q B on an equitable partition, so Q^T U(t) Q = U_B(t) on every
+    # pair of cells, singleton or not
+    g, seed = case
+    p = coarsest_equitable(g, seed)
+    q = normalized_partition_matrix(p)
+    reduced = propagator(quotient(g, p), t)
+    assert np.abs(q.T @ propagator(g, t) @ q - reduced).max() < 1e-10
