@@ -443,8 +443,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
-    # looked up per call, not bound into the once-built parser, so that a
-    # caller who rebinds these names (a tracer, a test double) is honoured
+    # looked up per call, like the handlers themselves
     builder, labeler = {"exterior": (exterior_power, k_subsets),
                         "symmetric": (symmetric_power, k_subsets),
                         "boson": (boson_quotient, multiset_states)}[args.command]
@@ -582,26 +581,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pos", help=f"join: positive block, one of {_ATOM_HELP}")
     p.add_argument("--cross", type=int, choices=(1, -1), default=1,
                    help="join: sign of the cross edges")
-    p.set_defaults(handler=cmd_construct)
+    p.set_defaults(handler="cmd_construct")
 
     p = sub.add_parser("walk", parents=[walk],
                        help="one transfer amplitude at one time")
     p.add_argument("--time", required=True, help="time expression, e.g. pi/2")
-    p.set_defaults(handler=cmd_walk)
+    p.set_defaults(handler="cmd_walk")
 
     p = sub.add_parser("pst-search", parents=[walk],
                        help="scan (0, t-max] for transfer or return peaks")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="fidelity tolerance for transfer verdicts")
     p.add_argument("--t-max", required=True, help="scan horizon, e.g. 4*pi")
-    p.set_defaults(handler=cmd_pst_search)
+    p.set_defaults(handler="cmd_pst_search")
 
     p = sub.add_parser("fidelity-curve", parents=[walk],
                        help="sample the fidelity curve as CSV")
     p.add_argument("--t-max", required=True, help="end of the time window")
     p.add_argument("--points", type=int, default=201,
                    help="number of samples over [0, t-max]")
-    p.set_defaults(handler=cmd_fidelity_curve)
+    p.set_defaults(handler="cmd_fidelity_curve")
 
     p = sub.add_parser("quotient", parents=[common],
                        help="equitable-partition quotient of a signed graph")
@@ -609,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     cells = p.add_mutually_exclusive_group()
     cells.add_argument("--cells", help="inline cells, e.g. '0;1;2,3,4,5'")
     cells.add_argument("--partition", help="partition file: one cell per line")
-    p.set_defaults(handler=cmd_quotient)
+    p.set_defaults(handler="cmd_quotient")
 
     for name, blurb in (
         ("exterior", "signed k-fermion exterior power"),
@@ -619,26 +618,26 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=blurb)
         p.add_argument("graph", help="edge-list file, all-positive")
         p.add_argument("--k", type=int, required=True, help="particle count")
-        p.set_defaults(handler=cmd_power)
+        p.set_defaults(handler="cmd_power")
 
     p = sub.add_parser("double-cover", parents=[common],
                        help="two-layer cover: vertex (u, b) sits at index 2u+b")
     p.add_argument("graph", help="edge-list file")
-    p.set_defaults(handler=cmd_double_cover)
+    p.set_defaults(handler="cmd_double_cover")
 
     p = sub.add_parser("balance", parents=[common],
                        help="balance status and switching witness")
     p.add_argument("graph", help="edge-list file")
-    p.set_defaults(handler=cmd_balance)
+    p.set_defaults(handler="cmd_balance")
 
     p = sub.add_parser("verify", parents=[common],
                        help="run one bundled verification scenario")
     p.add_argument("scenario", help=f"one of: {', '.join(SCENARIO_IDS)}")
-    p.set_defaults(handler=cmd_verify)
+    p.set_defaults(handler="cmd_verify")
 
     p = sub.add_parser("verify-all", parents=[common],
                        help="run every bundled verification scenario")
-    p.set_defaults(handler=cmd_verify_all)
+    p.set_defaults(handler="cmd_verify_all")
 
     return parser
 
@@ -647,7 +646,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # looked up by name, not bound into the cached parser: rebinding cmd_* works
+        return globals()[args.handler](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

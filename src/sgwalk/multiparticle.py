@@ -116,19 +116,31 @@ def _check_states(label: str, count: int) -> int:
     return count
 
 
+def _arrangements(n: int, k: int, repeats: bool) -> tuple:
+    """Tuple indices, tuples and lex ranks of the sorted forms of the k-tuples
+    over 0..n-1 arranging a k-subset (or, with ``repeats``, a k-multiset), and
+    the state count: n^k tuples, never the k! permutations n^k cannot bound."""
+    _check_states("n^k", n ** k)
+    count = len((multiset_states if repeats else k_subsets)(n, k))
+    tuples = np.array(list(itertools.product(range(n), repeat=k)), dtype=np.int64).reshape(-1, k)
+    srt = np.sort(tuples, axis=1)
+    rows = np.flatnonzero(repeats | (srt[:, 1:] > srt[:, :-1]).all(axis=1))
+    q = np.arange(k)
+    term = _lex_terms(n + k - 1 if repeats else n, k)
+    ranks = count - 1 - term(srt[rows] + q * repeats, q).sum(axis=1)
+    return rows, tuples[rows], ranks, count
+
+
 def antisymmetrizer(n: int, k: int) -> np.ndarray:
     """Isometry from k-subsets into the antisymmetric sector of tuples.
 
     Column for subset S holds sign(pi)/sqrt(k!) at every arrangement
     pi(S); columns are orthonormal (disjoint supports, unit norm).
     """
-    _check_states("n^k", n ** k)
-    subsets = np.array(k_subsets(n, k))
-    places = n ** np.arange(k - 1, -1, -1)  # tuple index, first coordinate most significant
-    mat = np.zeros((n ** k, len(subsets)))
-    for perm in itertools.permutations(range(k)):
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        mat[subsets[:, perm] @ places, np.arange(len(subsets))] = (-1) ** inversions
+    rows, tuples, cols, count = _arrangements(n, k, False)
+    inversions = sum(tuples[:, a] > tuples[:, b] for a, b in itertools.combinations(range(k), 2))
+    mat = np.zeros((n ** k, count))
+    mat[rows, cols] = (-1.0) ** inversions
     return mat / math.sqrt(math.factorial(k))
 
 
@@ -138,12 +150,9 @@ def symmetrizer(n: int, k: int) -> np.ndarray:
     Column for a multiset is the normalised indicator of its orbit of
     distinct arrangements.
     """
-    _check_states("n^k", n ** k)
-    states = np.array(multiset_states(n, k))
-    places = n ** np.arange(k - 1, -1, -1)
-    mat = np.zeros((n ** k, len(states)))
-    for perm in itertools.permutations(range(k)):
-        mat[states[:, perm] @ places, np.arange(len(states))] = 1.0
+    rows, _, cols, count = _arrangements(n, k, True)
+    mat = np.zeros((n ** k, count))
+    mat[rows, cols] = 1.0
     return mat / np.sqrt(mat.sum(axis=0))  # a column sum is its orbit's size
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +88,7 @@ AMPLITUDE_TOL = 1e-10               # on amplitude comparisons
 
 def fixed(x: float, places: int = 12) -> str:
     """Fixed-point decimal formatting with -0.0 normalized away."""
-    v = round(float(x), places)
-    if v == 0.0:
-        v = 0.0
-    return f"{v:.{places}f}"
+    return f"{round(float(x), places) + 0.0:.{places}f}"
 
 
 @dataclass(frozen=True)
@@ -113,29 +111,11 @@ class ScenarioReport:
     def status(self) -> str:
         """Worst claim status: fail beats discrepancy beats pass."""
         statuses = {c.status for c in self.claims}
-        if "fail" in statuses:
-            return "fail"
-        if "discrepancy" in statuses:
-            return "discrepancy"
-        return "pass"
+        return next((s for s in ("fail", "discrepancy") if s in statuses), "pass")
 
 
 def report_to_dict(report: ScenarioReport) -> dict:
-    return {
-        "scenario": report.scenario,
-        "claims": [
-            {
-                "description": c.description,
-                "expected": c.expected,
-                "measured": c.measured,
-                "tolerance": c.tolerance,
-                "status": c.status,
-                "provenance": c.provenance,
-            }
-            for c in report.claims
-        ],
-        "runtime_seconds": report.runtime_seconds,
-    }
+    return dict(dataclasses.asdict(report), claims=list(map(dataclasses.asdict, report.claims)))
 
 
 # --- claim helpers ---------------------------------------------------------
@@ -181,12 +161,8 @@ def _refuted(description: str, expected: float, measured: float,
 
 def _max_pair_fidelity(g: SignedGraph, t_max: float) -> float:
     """Best transfer fidelity over all unordered vertex pairs on [0, t_max]."""
-    best = 0.0
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            hits = pst_search(g, a, b, t_max=t_max)
-            best = max(best, max(h.fidelity for h in hits))
-    return best
+    return max(h.fidelity for a, b in itertools.combinations(range(g.n), 2)
+               for h in pst_search(g, a, b, t_max=t_max))
 
 
 # --- scenarios -------------------------------------------------------------
@@ -268,12 +244,9 @@ def _join_formula() -> list:
         closed = signed_join_amplitude(g1, g2, a, b, t)
         direct = amplitude(signed_join(g1, g2, -1, +1), a, b, t)
         worst = max(worst, abs(closed.value - direct.value))
-    claims = [
-        _at_most(f"closed-form join amplitude vs dense spectral route: max "
-                 f"error over {samples} seeded samples (regular partners on "
-                 f"up to 12 vertices)", 1e-9, worst, "derived"),
-    ]
-    return claims
+    return [_at_most(f"closed-form join amplitude vs dense spectral route: max "
+                     f"error over {samples} seeded samples (regular partners on "
+                     f"up to 12 vertices)", 1e-9, worst, "derived")]
 
 
 def _join_divisibility() -> list:

@@ -13,8 +13,10 @@ Eigenproblems are solved by LAPACK (``numpy.linalg.eigh``) under an
 accuracy contract: reconstruction and orthonormality residuals within
 1e-10.  A graph value's spectrum is computed once, on first use, and
 kept until the graph is freed; only raw matrices are decomposed per call.
-Transfer peaks are refined to a root of the analytic derivative of the
-fidelity, so PST times are exact to rounding.
+The PST search scans a uniform grid chunk by chunk, taking cos and sin by
+angle addition, so its memory does not grow with the horizon; Newton steps
+on the analytic derivative of the fidelity, closed by a probe of adjacent
+floats, refine each peak to a root, so PST times are exact to rounding.
 """
 
 from __future__ import annotations
@@ -279,46 +281,92 @@ def is_periodic(graph, t: float, tol: float = DEFAULT_TOL) -> bool:
                for a in range(eig_sym(graph).n))
 
 
-_SCAN_ROWS = 16384  # grid times per scan block: memory stays O(block * n)
+_SCAN_ROWS = 16384  # grid times per scan chunk: memory stays O(chunk * n)
+_PROBE = np.arange(-8, 9)  # float steps probed around a converged Newton point
 
 
-def _fidelity_slope(spec: Spectrum, weights: np.ndarray, times) -> tuple:
-    """(F, dF/dt) at every t in ``times``, in real arithmetic.
+def _fidelity_slope(eigenvalues: np.ndarray, cols: np.ndarray, times) -> tuple:
+    """(F, F' = dF/dt, F'' = d2F/dt2) at every t in ``times``, in real arithmetic.
 
-    With C = cos(t (x) lambda) and S = sin(t (x) lambda) the amplitude is
-    z = Cw - i Sw, so F = (Cw)^2 + (Sw)^2 and dF/dt = 2 Re(conj(z) z') =
-    2 [(Sw)(C lambda w) - (Cw)(S lambda w)].
+    ``cols`` holds w, lambda w and lambda^2 w.  With C = cos(t (x) lambda) and
+    S = sin(t (x) lambda) the amplitude is z = Cw - i Sw, so F = (Cw)^2 + (Sw)^2,
+    F' = 2 [(Sw)(C lambda w) - (Cw)(S lambda w)] and F'' = 2 [(C lambda w)^2
+    + (S lambda w)^2 - (Cw)(C lambda^2 w) - (Sw)(S lambda^2 w)].
     """
-    phases = np.multiply.outer(times, spec.eigenvalues)
-    both = np.column_stack([weights, spec.eigenvalues * weights])
-    cw = np.cos(phases) @ both
-    sw = np.sin(phases, out=phases) @ both
+    phases = np.multiply.outer(times, eigenvalues)
+    cw = np.cos(phases) @ cols
+    sw = np.sin(phases, out=phases) @ cols
     fid = cw[:, 0] ** 2 + sw[:, 0] ** 2
-    return fid, 2.0 * (sw[:, 0] * cw[:, 1] - cw[:, 0] * sw[:, 1])
+    slope = 2.0 * (sw[:, 0] * cw[:, 1] - cw[:, 0] * sw[:, 1])
+    curv = 2.0 * (cw[:, 1] ** 2 + sw[:, 1] ** 2 - cw[:, 0] * cw[:, 2] - sw[:, 0] * sw[:, 2])
+    return fid, slope, curv
 
 
-def _refine_peaks(spec: Spectrum, weights: np.ndarray, lo: np.ndarray,
+def _grid_fidelities(eigenvalues: np.ndarray, weights: np.ndarray, dt: float,
+                     steps: int, chunks: slice = slice(None)):
+    """Yield (first index, F) for the chunks of the grid i * dt, 0 <= i <= steps.
+
+    With i = b B + j, 0 <= j < B, cos and sin are taken of the inner phases
+    j dt lambda once and of each chunk's outer phases b B dt lambda; angle
+    addition joins them, Cw = (c_b w) c_j - (s_b w) s_j and Sw = (s_b w) c_j
+    + (c_b w) s_j, as one matrix product per chunk.
+    """
+    width = min(_SCAN_ROWS, math.isqrt(steps) + 1)
+    rows, count = _SCAN_ROWS // width, steps // width + 1
+    inner = np.multiply.outer(np.arange(width) * dt, eigenvalues)
+    inner = np.vstack([np.cos(inner), np.sin(inner)]).T
+    for b0 in range(0, count, rows)[chunks]:
+        outer = np.multiply.outer(np.arange(b0, min(b0 + rows, count)) * width * dt, eigenvalues)
+        m, prod = len(outer), (np.vstack([np.cos(outer), np.sin(outer)]) * weights) @ inner
+        cw, sw = prod[:m, :width] - prod[m:, width:], prod[m:, :width] + prod[:m, width:]
+        yield b0 * width, (cw ** 2 + sw ** 2).ravel()[:steps + 1 - b0 * width]
+
+
+def _refine_peaks(eigenvalues: np.ndarray, cols: np.ndarray, lo: np.ndarray,
                   hi: np.ndarray) -> np.ndarray:
     """Time of the fidelity peak in every bracket [lo, hi]: the root of dF/dt.
 
-    Where dF/dt falls from positive at lo to negative at hi, bisection on
-    its sign runs, all brackets together, until the midpoint stops moving.
-    Elsewhere the peak sits at an end of the bracket, and the end with the
-    higher fidelity is returned.
+    Where dF/dt falls from positive at lo to negative at hi, Newton steps on
+    dF/dt run for all brackets together; each trial point moves a bracket end
+    by its slope's sign, and the midpoint replaces a Newton point outside the
+    bracket, on a convex stretch or not halving the previous step.  Once a
+    step is below 2^-40 t, one call probes the floats around the point, and
+    bisection closes any bracket left open: the peak is the midpoint of two
+    adjacent floats, as bisection alone gives.  Elsewhere the peak is the end
+    of the bracket with the higher fidelity.
     """
-    fid, slope = _fidelity_slope(spec, weights, np.concatenate([lo, hi]))
+    fid, slope, _ = _fidelity_slope(eigenvalues, cols, np.concatenate([lo, hi]))
     k = len(lo)
     peaks = np.where(fid[:k] > fid[k:], lo, hi)
     live = np.flatnonzero((slope[:k] > 0.0) & (slope[k:] < 0.0))
     lo, hi = lo[live], hi[live]
-    # a bracket whose midpoint has stopped moving keeps it: mid is lo or hi,
-    # and either update leaves 0.5 * (lo + hi) where it was
+    t, last, run, at = 0.5 * (lo + hi), hi - lo, np.arange(len(live)), np.empty_like(lo)
+    while len(run):
+        _, slope, curv = _fidelity_slope(eigenvalues, cols, t)
+        up = slope > 0.0
+        lo[run[up]], hi[run[~up]] = t[up], t[~up]
+        a, b = lo[run], hi[run]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = slope / curv
+        t = t - step
+        close = (curv < 0.0) & (np.abs(step) <= 2.0 ** -40 * t)
+        newton = close | (curv < 0.0) & (a < t) & (t < b) & (np.abs(step) <= 0.5 * last)
+        t, last = np.where(newton, t, 0.5 * (a + b)), np.where(newton, np.abs(step), b - a)
+        at[run] = t
+        more = ~close & (a < t) & (t < b)  # a midpoint at an end: the bracket is closed
+        run, t, last = run[more], t[more], last[more]
+    bits = lambda x: x.view(np.int64)[:, None]  # floats >= 0 count up with their bits
+    # keep the last probe where dF/dt rises and the first one after it
+    probe = np.clip(bits(at) + _PROBE, bits(lo), bits(hi)).view(float)
+    up = _fidelity_slope(eigenvalues, cols, probe.ravel())[1].reshape(probe.shape) > 0.0
+    lo = np.where(up & (probe < hi[:, None]), probe, lo[:, None]).max(axis=1)
+    hi = np.where(~up & (probe > lo[:, None]), probe, hi[:, None]).min(axis=1)
     while True:
         mid = 0.5 * (lo + hi)
         if not ((lo < mid) & (mid < hi)).any():
             peaks[live] = mid
             return peaks
-        rising = _fidelity_slope(spec, weights, mid)[1] > 0.0
+        rising = _fidelity_slope(eigenvalues, cols, mid)[1] > 0.0
         lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
 
 
@@ -332,40 +380,50 @@ def pst_search(graph, a: int, b: int, t_max: float, *,
     fidelity >= 1 - tol are reported; if none qualifies the earliest peak
     within 1e-12 of the best fidelity is returned with kind "none".  A
     curve without peaks (one that is zero to rounding, say) reports the
-    earliest grid time within 1e-12 of its best grid fidelity.
+    earliest grid time within 1e-12 of its best grid fidelity.  Memory
+    is O(chunk * n + peaks) at any horizon.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     spec = eig_sym(graph)
-    weights = _weights(spec, a, b)
+    weights, lam = _weights(spec, a, b), spec.eigenvalues
     a, b = int(a), int(b)
     _check_phase_range(spec, t_max)  # before a horizon like 1e300 sizes the grid
     steps = max(2, int(math.ceil(t_max / DEFAULT_GRID_STEP)))
-    ts = np.linspace(0.0, t_max, steps + 1)
-    fids = np.empty_like(ts)
-    for i in range(0, len(ts), _SCAN_ROWS):
-        fids[i:i + _SCAN_ROWS] = _fidelity_slope(spec, weights, ts[i:i + _SCAN_ROWS])[0]
+    dt = t_max / steps  # grid time i is i * dt, the last t_max, as np.linspace gives
 
+    # A local maximum rises strictly from its left neighbour, so a plateau
+    # yields one candidate, not one per grid point; the last grid point counts
+    # when the curve still rises into it.  Chunks carry their last two
+    # fidelities into the next, and a sentinel closes the grid.
+    best, tops, found, carry = 0.0, [], [], np.empty(0)
+    for i0, fid in _grid_fidelities(lam, weights, dt, steps):
+        best = max(best, float(fid.max()))
+        tops.append(float(fid[1 if i0 == 0 else 0:].max()))
+        f = np.concatenate([carry, fid, [-np.inf] if i0 + len(fid) > steps else []])
+        at = 1 + np.flatnonzero((f[1:-1] > 1e-12) & (f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))
+        found.append((i0 - len(carry) + at, f[at]))
+        carry = f[-2:]
     # Peaks far below the curve's own scale are rounding noise (a curve that
     # is mathematically zero wiggles around 1e-32), not transfer events.
-    floor = max(1e-12, float(fids.max()) * 1e-6)
-    # strict rise on the left so a plateau yields one candidate, not one per
-    # grid point (a constant curve would otherwise refine everywhere); the
-    # last grid point counts when the curve still rises into it
-    is_peak = fids > floor
-    is_peak[1:] &= fids[1:] > fids[:-1]
-    is_peak[1:-1] &= fids[1:-1] >= fids[2:]
-    is_peak[0] = False
-    at = np.flatnonzero(is_peak)
+    at = np.concatenate([i for i, _ in found])
+    at = at[np.concatenate([f for _, f in found]) > max(1e-12, best * 1e-6)]
     if len(at):
-        lo, hi = ts[at - 1], ts[np.minimum(at + 1, steps)]
-        candidates = np.sort(_refine_peaks(spec, weights, lo, hi))
+        cols = np.column_stack([weights, lam * weights, lam * lam * weights])
+        lo, hi = (np.where(i == steps, t_max, i * dt) for i in (at - 1, np.minimum(at + 1, steps)))
+        size = _SCAN_ROWS // len(_PROBE)
+        candidates = np.sort(np.concatenate([
+            _refine_peaks(lam, cols, lo[i:i + size], hi[i:i + size])
+            for i in range(0, len(lo), size)]))
     else:
-        tail = fids[1:]
-        candidates = ts[1 + np.flatnonzero(tail >= tail.max() - 1e-12)[:1]]
+        top = max(tops)
+        c = next(c for c, m in enumerate(tops) if m >= top - 1e-12)
+        ((i0, fid),) = _grid_fidelities(lam, weights, dt, steps, slice(c, c + 1))
+        i = i0 + next(i for i in np.flatnonzero(fid >= top - 1e-12) if i0 + i > 0)
+        candidates = [t_max if i == steps else i * dt]
 
     peaks = []
-    for t in candidates.tolist():
+    for t in np.asarray(candidates).tolist():
         if not peaks or t - peaks[-1] >= 1e-9:
             peaks.append(t)
     verdicts = [

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import sgwalk
 from sgwalk import REPORT_SCHEMA, read_signed_graph, read_weighted_graph
+from sgwalk import cli
 from sgwalk.cli import UsageError, main, parse_graph_atom, parse_time_expression
 
 
@@ -123,6 +124,17 @@ def test_walk_golden_line(capsys, tmp_path):
                          "--from", "0", "--to", "1", "--time", "pi/2")
     assert code == 0 and err == ""
     assert out == "re=0.000000000000 im=-1.000000000000 fidelity=1.000000000000\n"
+
+
+def test_handlers_are_looked_up_when_called(capsys, monkeypatch, tmp_path):
+    # the parser is built once per process; a handler rebound after that
+    # (by a tracer or a test double) is still the one that runs
+    cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_walk", lambda args: seen.append(args.time) or 0)
+    code, out, _ = run(capsys, "walk", write_k2(tmp_path), "--from", "0", "--to", "1",
+                       "--time", "pi/2")
+    assert code == 0 and out == "" and seen == ["pi/2"]
 
 
 def test_walk_formats(capsys, tmp_path):
@@ -440,9 +452,10 @@ def test_power_state_cap_is_a_domain_error(capsys, tmp_path):
     assert code == 0 and out.splitlines()[0] == "n 364"
 
 
-def test_out_of_memory_is_a_domain_error(tmp_path):
+def run_capped(*argv):
+    """Run ``sgwalk argv`` in a fresh process under a 1.5 GiB address-space cap."""
     resource = pytest.importorskip("resource")
-    limit = 3 << 29  # 1.5 GiB of address space: numpy loads, a huge array does not
+    limit = 3 << 29  # numpy loads, a huge array does not
 
     def cap_address_space():
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -452,16 +465,28 @@ def test_out_of_memory_is_a_domain_error(tmp_path):
     src = os.path.dirname(os.path.dirname(sgwalk.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    k2 = write_k2(tmp_path)
-    # a 100000-vertex complete graph needs 74.5 GiB; a 1e6 scan horizon on K2, 2.4 GiB
-    for argv in (["construct", "--family", "complete", "--n", "100000"],
-                 ["pst-search", k2, "--from", "0", "--to", "1", "--t-max", "1e6"]):
-        proc = subprocess.run([sys.executable, "-m", "sgwalk", *argv], env=env,
-                              preexec_fn=cap_address_space, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 3 and proc.stdout == ""
-        assert proc.stderr.startswith("error: out of memory")
-        assert proc.stderr.count("\n") == 1
+    return subprocess.run([sys.executable, "-m", "sgwalk", *argv], env=env,
+                          preexec_fn=cap_address_space, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_out_of_memory_is_a_domain_error():
+    # a 100000-vertex complete graph needs 74.5 GiB
+    proc = run_capped("construct", "--family", "complete", "--n", "100000")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_pst_search_memory_does_not_grow_with_the_horizon(tmp_path):
+    # 95,492,967 grid times: one float64 array of them takes 729 MiB, and a
+    # scan holding the grid and its fidelities runs out under the cap
+    proc = run_capped("pst-search", write_k2(tmp_path), "--from", "0", "--to", "1",
+                      "--t-max", "3e5")
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "1.570796326795 1.000000000000 -1.570796326795 pst"
+    assert len(lines) == 95493  # every odd multiple of pi/2 up to 3e5
 
 
 def test_double_cover_subcommand(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -89,6 +90,44 @@ def test_antisymmetrizer_and_symmetrizer_are_isometries():
         sym = symmetrizer(n, k)
         assert sym.shape == (n ** k, math.comb(n + k - 1, k))
         assert np.abs(sym.T @ sym - np.eye(sym.shape[1])).max() < 1e-12
+
+
+def permutation_walk_isometry(n, k, repeats):
+    """antisymmetrizer / symmetrizer written as a walk over all k! permutations."""
+    states = np.array((multiset_states if repeats else k_subsets)(n, k))
+    places = n ** np.arange(k - 1, -1, -1)
+    mat = np.zeros((n ** k, len(states)))
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        mat[states[:, perm] @ places, np.arange(len(states))] = 1 if repeats else (-1) ** inversions
+    if repeats:
+        return mat / np.sqrt(mat.sum(axis=0))
+    return mat / math.sqrt(math.factorial(k))
+
+
+def test_oracle_isometries_match_the_permutation_walk_bit_for_bit():
+    for n in range(1, 8):
+        for k in range(1, 5):
+            if n ** k > MAX_POWER_STATES:
+                continue
+            if k <= n:
+                want = permutation_walk_isometry(n, k, False)
+                assert antisymmetrizer(n, k).tobytes() == want.tobytes()
+            want = permutation_walk_isometry(n, k, True)
+            assert symmetrizer(n, k).tobytes() == want.tobytes()
+
+
+def test_oracle_isometries_do_not_walk_k_factorial_permutations():
+    # n^k caps the tuples, not k!: 12! = 479,001,600 permutations of one
+    # vertex's single 12-multiset, 10! = 3,628,800 for 11 multisets on K2
+    one = build_signed_graph(1, [])
+    start = time.perf_counter()
+    assert symmetrizer(1, 12).tolist() == [[1.0]]
+    assert symmetrizer(2, 10).shape == (1024, 11)
+    assert boson_quotient_oracle(one, 12).weights.tolist() == [[0.0]]
+    with pytest.raises(ValueError, match="need 0 < k <= n"):
+        antisymmetrizer(1, 12)  # no 12-subset of one vertex
+    assert time.perf_counter() - start < 1.0
 
 
 def kronecker_sum_reference(mats):

@@ -340,10 +340,7 @@ def _printed(verdicts):
     return [f"{v.time:.12f} {v.fidelity:.12f} {v.phase:.12f} {v.kind}" for v in verdicts]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(signed_walks(), st.floats(0.0, 6 * math.pi, exclude_min=True))
-def test_pst_search_matches_the_scalar_oracle(walk, t_max):
-    g, a, b, _ = walk
+def _assert_matches_the_scalar_oracle(g, a, b, t_max):
     got, want = pst_search(g, a, b, t_max), _scalar_pst_search(g, a, b, t_max)
     if want[0].fidelity < 1e-12:
         # zero to rounding: the oracle reports the grid's argmax of noise,
@@ -355,19 +352,56 @@ def test_pst_search_matches_the_scalar_oracle(walk, t_max):
         assert _printed(got) == _printed(want)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(signed_walks(), st.floats(0.0, 6 * math.pi, exclude_min=True))
+def test_pst_search_matches_the_scalar_oracle(walk, t_max):
+    g, a, b, _ = walk
+    _assert_matches_the_scalar_oracle(g, a, b, t_max)
+
+
+@pytest.mark.parametrize("g", [complete(n) for n in range(3, 9)]
+                         + [hypercube(d) for d in range(2, 5)],
+                         ids=[f"K{n}" for n in range(3, 9)] + [f"Q{d}" for d in range(2, 5)])
+def test_pst_search_matches_the_scalar_oracle_on_tied_curves(g):
+    # complete graphs and cubes give curves with exact ties (equal peaks,
+    # peaks on a grid time or midway between two), which random graphs
+    # never do; they separate the strict and non-strict comparisons of
+    # the peak marking and of the bracket ends
+    for b in range(g.n):
+        for t_max in (math.pi / 2, 1000 * math.pi / 1001, 2 * math.pi, 5.0):
+            _assert_matches_the_scalar_oracle(g, 0, b, t_max)
+
+
 def test_pst_search_scan_memory_does_not_grow_with_grid_times_n():
-    g = hypercube(5)
-    eig_sym(g)
-    tracemalloc.start()
-    try:
-        pst_search(g, 0, 31, 200.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # 63,663 grid times x 32 eigenvalues: a scan over one complex table of
-    # them peaks at about 63 MB; the blocked scan holds the grid, its
-    # fidelities and one block of cos/sin rows
-    assert peak < 16e6
+    # 63,663 grid times x 32 eigenvalues on Q5, and 6,366,198 grid times on
+    # K2: a scan over one complex table of them peaks at about 63 MB, a
+    # scan that holds the grid and its fidelities at about 102 MB on K2;
+    # the chunked scan holds one chunk and the peak candidates
+    for g, a, b, t_max in ((hypercube(5), 0, 31, 200.0), (complete(2), 0, 1, 2e4)):
+        eig_sym(g)
+        tracemalloc.start()
+        try:
+            pst_search(g, a, b, t_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+def test_pst_search_refines_in_a_handful_of_kernel_calls(monkeypatch):
+    # bisection to the last bit took about 50 calls here; Newton steps on
+    # dF/dt and one probe of the floats around the root take a few
+    calls = []
+    kernel = spectral._fidelity_slope
+    monkeypatch.setattr(spectral, "_fidelity_slope",
+                        lambda *args: calls.append(len(args[2])) or kernel(*args))
+    for b in (15, 3, 1):
+        calls.clear()
+        hits = pst_search(hypercube(4), 0, b, 5 * math.pi)
+        assert len(calls) <= 10, calls
+    (hit,) = pst_search(hypercube(4), 0, 1, 5 * math.pi)
+    # F = cos^6 sin^2 peaks where tan^2 t = 1/3
+    assert hit.kind == "none" and f"{hit.time:.12f}" == f"{math.pi / 6:.12f}"
 
 
 def test_signed_joins_transfer_at_the_paper_times():
