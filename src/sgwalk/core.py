@@ -47,15 +47,25 @@ __all__ = [
 ]
 
 
-def _own_int_matrix(m, name: str, n: int) -> np.ndarray:
+_TILE = 128  # a tile and its mirror tile stay in cache during a transpose pass
+
+
+def _mirror_tiles(n: int) -> Iterator[tuple]:
+    """Slice pairs (i, j) of the square tiles on and above the diagonal of an
+    n x n matrix: blocks [i, j] and [j, i].T meet every entry with its mirror
+    once, with no n x n transposed temporary."""
+    for a in range(0, n, _TILE):
+        for b in range(a, n, _TILE):
+            yield slice(a, a + _TILE), slice(b, b + _TILE)
+
+
+def _int_matrix(m, name: str, n: int) -> np.ndarray:
     a = np.asarray(m)
     if a.shape != (n, n):
         raise ValueError(f"{name} matrix must have shape ({n}, {n}), got {a.shape}")
-    if not np.issubdtype(a.dtype, np.integer):
+    if a.dtype.kind not in "iu":
         if not np.all(a == np.rint(a)):
             raise ValueError(f"{name} matrix must have integer entries")
-    a = np.array(a, dtype=np.int64)
-    a.setflags(write=False)
     return a
 
 
@@ -75,19 +85,27 @@ class SignedGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("a graph needs at least one vertex")
-        object.__setattr__(self, "pos", _own_int_matrix(self.pos, "pos", self.n))
-        object.__setattr__(self, "neg", _own_int_matrix(self.neg, "neg", self.n))
-        for name, m in (("pos", self.pos), ("neg", self.neg)):
-            if (m != m.T).any():
+        layers = np.array([_int_matrix(self.pos, "pos", self.n),
+                           _int_matrix(self.neg, "neg", self.n)], dtype=np.int64)
+        layers.setflags(write=False)
+        object.__setattr__(self, "pos", layers[0])
+        object.__setattr__(self, "neg", layers[1])
+        asymmetric = np.zeros(2, dtype=bool)
+        for i, j in _mirror_tiles(self.n):
+            asymmetric |= (layers[:, i, j] != layers[:, j, i].swapaxes(1, 2)).any(axis=(1, 2))
+        loops = layers.diagonal(axis1=1, axis2=2).any(axis=1)
+        negative = layers.min(axis=(1, 2)) < 0
+        for k, name in enumerate(("pos", "neg")):
+            if asymmetric[k]:
                 raise ValueError(f"{name} matrix must be symmetric")
-            if m.diagonal().any():
+            if loops[k]:
                 raise ValueError("self-loops are not allowed")
-            if m.min() < 0:
+            if negative[k]:
                 raise ValueError(f"{name} multiplicities must be non-negative")
         if self.mode == SIMPLE:
-            if max(self.pos.max(), self.neg.max()) > 1:
+            if layers.max() > 1:
                 raise ValueError("simple mode forbids parallel edges")
-            if ((self.pos > 0) & (self.neg > 0)).any():
+            if np.vdot(self.pos, self.neg):  # entries are 0 or 1 here: it counts shared pairs
                 raise ValueError(
                     "simple mode forbids a positive and a negative edge on the same pair"
                 )
@@ -125,11 +143,19 @@ class WeightedGraph:
         w = np.array(self.weights, dtype=float)
         if w.shape != (self.n, self.n):
             raise ValueError(f"weights must have shape ({self.n}, {self.n})")
-        scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-        half = w / 2.0  # halved first: w + w.T and w - w.T overflow above ~9e307
-        if np.abs(half - half.T).max(initial=0.0) > 0.5e-12 * scale:
+        scale = max(1.0, float(np.abs(w).max()))
+        w /= 2.0  # halved first: w + w.T and w - w.T overflow above ~9e307
+        gap = 0.0
+        for i, j in _mirror_tiles(self.n):
+            block, mirror = w[i, j], w[j, i].T
+            tile_gap = np.abs(block - mirror).max()
+            if gap == gap and not tile_gap <= gap:  # a NaN stays, as in one max over all
+                gap = tile_gap
+            np.add(block, mirror, out=block)  # on the diagonal, numpy buffers the overlap
+            if i != j:
+                mirror[...] = block
+        if gap > 0.5e-12 * scale:
             raise ValueError("weights must be symmetric")
-        w = half + half.T
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -138,12 +164,55 @@ class WeightedGraph:
         return self.weights
 
 
+def _check_edge(n: int, u: int, v: int, s: int) -> None:
+    """Raise the error of the first check that edge (u, v, s) fails, if any:
+    range, self-loop, sign."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if s not in (1, -1):
+        raise ValueError(f"edge sign must be +1 or -1, got {s}")
+
+
+def _first_repeat(u: np.ndarray, v: np.ndarray, n: int) -> int:
+    """Index of the first edge whose vertex pair an earlier edge has, or the
+    edge count (exact for vertices in 0..n-1)."""
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    if len(set(keys.tolist())) == len(keys):
+        return len(keys)
+    order = np.argsort(keys, kind="stable")  # a pair's first edge sorts first
+    return int(order[1:][keys[order[1:]] == keys[order[:-1]]].min())
+
+
 def build_signed_graph(n: int, edges: Iterable[tuple], mode: str = SIMPLE) -> SignedGraph:
     """Build a signed graph from ``(u, v, sign)`` triples.
 
     Signs are +1 or -1.  In simple mode a vertex pair may appear once;
-    multigraph mode accumulates parallel edges.
+    multigraph mode accumulates parallel edges.  The first offending edge
+    is reported, by the first check it fails: range, self-loop, sign,
+    duplicate.  An integer (m, 3) array, as the reader passes, is checked by
+    masks over its columns; any other iterable edge by edge, as it is
+    converted, so that a small graph makes no numpy call per check.
     """
+    if isinstance(edges, np.ndarray) and edges.dtype.kind == "i" and edges.shape[1:] == (3,):
+        # counts fit the smallest type that holds the edge count, so the
+        # owning copy SignedGraph makes is the one n x n int64 pair built
+        layers = np.zeros((2, n, n), dtype=np.min_scalar_type(len(edges)))
+        u, v, s = edges.astype(np.int64).T
+        # as unsigned, a negative index is out of range too
+        bad = (np.maximum(u.view(np.uint64), v.view(np.uint64)) >= n) | (u == v) | (np.abs(s) != 1)
+        first = int(bad.argmax()) if bad.any() else len(bad)
+        if mode == SIMPLE:
+            first = _first_repeat(u[:first], v[:first], n)
+        if first < len(bad):
+            a, b, sign = (int(x) for x in edges[first])
+            _check_edge(n, a, b, sign)
+            raise ValueError(f"duplicate edge {(min(a, b), max(a, b))} in simple mode")
+        layer = (1 - s) >> 1  # 0 for +1, 1 for -1
+        np.add.at(layers, (layer, u, v), 1)
+        np.add.at(layers, (layer, v, u), 1)
+        return SignedGraph(n, layers[0], layers[1], mode)
     pos = np.zeros((n, n), dtype=np.int64)
     neg = np.zeros((n, n), dtype=np.int64)
     seen = set()
@@ -153,12 +222,7 @@ def build_signed_graph(n: int, edges: Iterable[tuple], mode: str = SIMPLE) -> Si
         except (TypeError, ValueError):
             raise ValueError(f"edge {edge!r} is not a (u, v, sign) triple") from None
         u, v, s = int(u), int(v), int(s)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if s not in (1, -1):
-            raise ValueError(f"edge sign must be +1 or -1, got {s}")
+        _check_edge(n, u, v, s)
         key = (min(u, v), max(u, v))
         if mode == SIMPLE and key in seen:
             raise ValueError(f"duplicate edge {key} in simple mode")
@@ -183,11 +247,16 @@ def from_net_matrix(matrix, mode: Optional[str] = None) -> SignedGraph:
         if not np.all(a == np.rint(a)):
             raise ValueError("net matrix must have integer entries")
     a = a.astype(np.int64, copy=False)
+    top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
     if mode is None:
-        mode = SIMPLE if max(a.max(initial=0), -a.min(initial=0)) <= 1 else MULTIGRAPH
-    neg = np.minimum(a, 0)
+        mode = SIMPLE if top <= 1 else MULTIGRAPH
+    # Layers of +-1 entries (every simple graph, every power) fit a byte, so
+    # the owning copy SignedGraph makes is the one n x n int64 pair built.
+    small = np.int8 if top < 128 else np.int64
+    pos = np.maximum(a, 0, dtype=small, casting="unsafe")
+    neg = np.minimum(a, 0, dtype=small, casting="unsafe")
     np.negative(neg, out=neg)
-    return SignedGraph(n, np.maximum(a, 0), neg, mode)
+    return SignedGraph(n, pos, neg, mode)
 
 
 def _require_simple(g: SignedGraph, op: str) -> None:
@@ -404,23 +473,28 @@ def _parse_edge_lines(text: str, source: str):
     return n, triples
 
 
+_SIGNS = {"+1": 1, "1": 1, "-1": -1}
+
+
 def read_signed_graph(path, mode: Optional[str] = None) -> SignedGraph:
     """Read a signed edge list.  ``mode=None`` selects simple mode unless
     the file contains parallel edges."""
     source = str(path)
     n, triples = _parse_edge_lines(Path(path).read_text(), source)
-    edges = []
-    for lineno, u, v, token in triples:
-        if token in ("+1", "1"):
-            s = 1
-        elif token == "-1":
-            s = -1
-        else:
-            raise ValueError(f"{source}:{lineno}: sign must be +1 or -1, got {token!r}")
-        edges.append((u, v, s))
+    lines, us, vs, tokens = zip(*triples) if triples else ((),) * 4
+    signs = [_SIGNS.get(token, 0) for token in tokens]
+    if 0 in signs:
+        i = signs.index(0)
+        raise ValueError(f"{source}:{lines[i]}: sign must be +1 or -1, got {tokens[i]!r}")
+    # With mode=None a repeat only picks the mode, and a bad vertex fails in
+    # either mode: the inexact keys of bad vertices, and the mode picked for
+    # a vertex beyond int64, change no outcome.
+    try:
+        edges = np.array((us, vs, signs), dtype=np.int64).T
+    except OverflowError:  # a vertex beyond int64: the error message quotes it
+        edges, mode = list(zip(us, vs, signs)), mode or MULTIGRAPH
     if mode is None:
-        pairs = [(min(u, v), max(u, v)) for u, v, _ in edges]
-        mode = MULTIGRAPH if len(set(pairs)) < len(pairs) else SIMPLE
+        mode = MULTIGRAPH if _first_repeat(edges[:, 0], edges[:, 1], n) < len(edges) else SIMPLE
     return build_signed_graph(n, edges, mode)
 
 

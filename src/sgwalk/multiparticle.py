@@ -233,7 +233,12 @@ def exterior_power_oracle(g: SignedGraph, k: int) -> WeightedGraph:
     """Independent route to the exterior power: conjugate the Cartesian
     power by the antisymmetrizer and round to exact {-1, 0, +1} entries."""
     _require_unsigned(g, "exterior_power_oracle")
-    alt = antisymmetrizer(g.n, k)  # checks the n^k cap first
+    return _conjugate_exterior(g, k, antisymmetrizer(g.n, k))  # checks the n^k cap first
+
+
+def _conjugate_exterior(g: SignedGraph, k: int, alt: np.ndarray) -> WeightedGraph:
+    """:func:`exterior_power_oracle` with the antisymmetrizer of (g.n, k)
+    given, so that callers conjugating many graphs build it once."""
     box = cartesian_power_matrix(g, k).astype(float)
     w = alt.T @ box @ alt
     rounded = np.rint(w)

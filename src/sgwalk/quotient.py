@@ -14,6 +14,7 @@ amplitudes between singleton cells survive the quotient exactly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -85,12 +86,17 @@ def partition_from_cells(cells: Iterable[Sequence[int]], n: Optional[int] = None
 def partition_from_cell_of(cell_of: Sequence[int]) -> Partition:
     """Build a partition from a cell-index vector; cells are numbered as
     their smallest vertices appear."""
-    vec = [int(c) for c in cell_of]
-    order: dict = {}
-    for v, c in enumerate(vec):
-        order.setdefault(c, []).append(v)
-    cells = tuple(tuple(vs) for vs in order.values())
-    return partition_from_cells(cells, n=len(vec))
+    vec = np.asarray(cell_of)
+    if vec.ndim != 1 or vec.dtype.kind not in "iu":
+        vec = np.array([int(c) for c in cell_of])  # as int() reads them, any size
+    _, first, inverse = np.unique(vec, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    labels = rank[inverse.reshape(-1)]
+    members = np.argsort(labels, kind="stable").tolist()  # cell by cell, ascending
+    ends = np.cumsum(np.bincount(labels, minlength=len(first))).tolist()
+    cells = tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
+    return Partition(cells, labels)
 
 
 def discrete_partition(n: int) -> Partition:
@@ -145,10 +151,24 @@ class EquitableProfile:
         return self.d_plus - self.d_minus
 
 
+_EDGE_SCANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def _edge_scan(g: SignedGraph) -> list:
     """Each layer's edges, each direction once, as arrays (v, u, multiplicity):
-    the one read of the n x n layers that a count needs."""
-    return [(v, u, layer[v, u]) for layer in (g.pos, g.neg) for v, u in [np.nonzero(layer)]]
+    the one read of the n x n layers that a count needs, made once per graph
+    value (later calls return the same read-only arrays)."""
+    scan = _EDGE_SCANS.get(g)
+    if scan is None:
+        scan = []
+        for layer in (g.pos.ravel(), g.neg.ravel()):
+            (at,) = layer.nonzero()  # flat: a fraction of a 2-D nonzero's time
+            v, u = np.divmod(at, g.n)
+            scan.append((v, u, layer[at]))
+            for a in scan[-1]:
+                a.setflags(write=False)
+        _EDGE_SCANS[g] = scan
+    return scan
 
 
 def _cell_counts(edges: list, p: Partition) -> np.ndarray:
@@ -231,7 +251,10 @@ def coarsest_equitable(g: SignedGraph, seed: Optional[Partition] = None) -> Part
     edges = _edge_scan(g)
     while True:
         signatures = np.column_stack([part.cell_of, _cell_counts(edges, part)])
-        _, new_cell_of = np.unique(signatures, axis=0, return_inverse=True)
+        # one opaque item per row: only equality matters, as cells are
+        # renumbered by their first vertex
+        rows = signatures.view(np.dtype((np.void, signatures.strides[0]))).ravel()
+        _, new_cell_of = np.unique(rows, return_inverse=True)
         refined = partition_from_cell_of(new_cell_of.reshape(-1))
         if refined.m == part.m:
             return refined

@@ -72,7 +72,9 @@ from .quotient import (
     quotient_transfer_check,
 )
 from .multiparticle import (
+    _conjugate_exterior,
     _hop_nets,
+    antisymmetrizer,
     boson_formula_comparison,
     boson_quotient,
     boson_quotient_oracle,
@@ -456,14 +458,15 @@ def _exhaustive_sign_rule(max_n: int = 5, spot_every: int = 97):
         for i, (u, v) in enumerate(pairs):
             adj[:, u, v] = adj[:, v, u] = bits[:, i]
         for k in range(1, n):
+            alt = antisymmetrizer(n, k)
             basis = np.array([
-                exterior_power_oracle(build_signed_graph(n, [(u, v, 1)]), k).weights
+                _conjugate_exterior(build_signed_graph(n, [(u, v, 1)]), k, alt).weights
                 for (u, v) in pairs])
             oracle = np.tensordot(bits, basis, 1)
             built = _hop_nets(adj, k, False)
             mismatches += int((built != oracle).any(axis=(1, 2)).sum())
             for mask in masks[::spot_every]:
-                direct = exterior_power_oracle(from_net_matrix(adj[mask]), k).weights
+                direct = _conjugate_exterior(from_net_matrix(adj[mask]), k, alt).weights
                 if np.abs(direct - oracle[mask]).max() != 0:
                     mismatches += 1
                 spots += 1

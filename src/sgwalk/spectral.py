@@ -282,6 +282,7 @@ def is_periodic(graph, t: float, tol: float = DEFAULT_TOL) -> bool:
 
 
 _SCAN_ROWS = 16384  # grid times per scan chunk: memory stays O(chunk * n)
+_MAX_STEPS = 10 ** 9  # grid steps per search: t_max up to about 3.1e6, a scan of about 40 s
 _PROBE = np.arange(-8, 9)  # float steps probed around a converged Newton point
 
 
@@ -390,6 +391,10 @@ def pst_search(graph, a: int, b: int, t_max: float, *,
     a, b = int(a), int(b)
     _check_phase_range(spec, t_max)  # before a horizon like 1e300 sizes the grid
     steps = max(2, int(math.ceil(t_max / DEFAULT_GRID_STEP)))
+    if steps > _MAX_STEPS:
+        raise ValueError(f"t_max = {t_max:.6g} needs a scan of {steps + 1} grid times, more than "
+                         f"the {_MAX_STEPS + 1} allowed: the largest horizon is "
+                         f"{_MAX_STEPS * DEFAULT_GRID_STEP:.6g}")
     dt = t_max / steps  # grid time i is i * dt, the last t_max, as np.linspace gives
 
     # A local maximum rises strictly from its left neighbour, so a plateau

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -487,6 +488,17 @@ def test_pst_search_memory_does_not_grow_with_the_horizon(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "1.570796326795 1.000000000000 -1.570796326795 pst"
     assert len(lines) == 95493  # every odd multiple of pi/2 up to 3e5
+
+
+def test_pst_search_refuses_a_scan_beyond_its_cap(capsys, tmp_path):
+    # 3.2e14 grid times would scan for months; the cap answers at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pst-search", write_k2(tmp_path), "--from", "0", "--to", "1",
+                         "--t-max", "1e12")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == ("error: t_max = 1e+12 needs a scan of 318309886183792 grid times, more than "
+                   "the 1000000001 allowed: the largest horizon is 3.14159e+06\n")
 
 
 def test_double_cover_subcommand(capsys, tmp_path):

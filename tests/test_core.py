@@ -311,6 +311,128 @@ def test_read_errors(tmp_path):
             read_weighted_graph(bad)
 
 
+def reference_build(n, edges, mode):
+    """The per-edge loop that the array checks of build_signed_graph replace."""
+    pos = np.zeros((n, n), dtype=np.int64)
+    neg = np.zeros((n, n), dtype=np.int64)
+    seen = set()
+    for edge in edges:
+        try:
+            u, v, s = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {edge!r} is not a (u, v, sign) triple") from None
+        u, v, s = int(u), int(v), int(s)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if s not in (1, -1):
+            raise ValueError(f"edge sign must be +1 or -1, got {s}")
+        key = (min(u, v), max(u, v))
+        if mode == SIMPLE and key in seen:
+            raise ValueError(f"duplicate edge {key} in simple mode")
+        seen.add(key)
+        layer = pos if s == 1 else neg
+        layer[u, v] += 1
+        layer[v, u] += 1
+    return SignedGraph(n, pos, neg, mode)
+
+
+def reference_read(path, n, lines, mode):
+    """The per-line sign check and mode choice of read_signed_graph, then
+    :func:`reference_build`; ``lines`` holds (line number, u, v, sign token)."""
+    edges = []
+    for lineno, u, v, token in lines:
+        if token not in ("+1", "1", "-1"):
+            raise ValueError(f"{path}:{lineno}: sign must be +1 or -1, got {token!r}")
+        edges.append((u, v, 1 if token in ("+1", "1") else -1))
+    if mode is None:
+        pairs = [(min(u, v), max(u, v)) for u, v, _ in edges]
+        mode = MULTIGRAPH if len(set(pairs)) < len(pairs) else SIMPLE
+    return reference_build(n, edges, mode)
+
+
+def outcome(build, *args):
+    """The layers and mode of the graph built, or the message of its error."""
+    try:
+        g = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return g.pos.tolist(), g.neg.tolist(), g.mode
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """Edges on few vertices, so that pairs repeat, with faults that may meet
+    on one edge: a vertex out of range (or beyond int64), a loop, a bad sign;
+    and the odd edge that is no integer triple at all."""
+    n = draw(st.integers(2, 8))
+    odds = draw(st.sampled_from([2, 4, 16, 64]))  # one edge in odds has each fault
+    faulty = st.integers(1, odds).map(lambda roll: roll == 1)
+    edges = []
+    for _ in range(draw(st.integers(0, 12))):
+        u = draw(st.integers(0, n - 1))
+        v = (u + draw(st.integers(1, n - 1))) % n
+        s = draw(st.sampled_from([1, -1]))
+        if draw(faulty):
+            v = u
+        if draw(faulty):
+            u = draw(st.sampled_from([-1, n, n + 1, 2 ** 63, -(2 ** 70)]))
+        if draw(faulty):
+            v = draw(st.sampled_from([-2, n, 2 ** 64]))
+        if draw(faulty):
+            s = draw(st.sampled_from([0, 2, -3]))
+        edges.append({0: (u, v), 1: (u, "x", s)}.get(draw(st.integers(0, 39)), (u, v, s)))
+    return n, edges, draw(st.sampled_from([SIMPLE, MULTIGRAPH]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(faulty_edge_lists())
+def test_build_matches_the_per_edge_loop(case):
+    n, edges, mode = case
+    want = outcome(reference_build, n, edges, mode)
+    assert outcome(build_signed_graph, n, edges, mode) == want
+    assert outcome(build_signed_graph, n, iter(edges), mode) == want
+    if all(len(e) == 3 and all(type(x) is int and abs(x) < 2 ** 62 for x in e) for e in edges):
+        assert outcome(build_signed_graph, n, np.array(edges, dtype=np.int64).reshape(-1, 3),
+                       mode) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(faulty_edge_lists(), st.sampled_from([None, SIMPLE, MULTIGRAPH]))
+def test_read_matches_the_per_line_loop(tmp_path_factory, case, mode):
+    n, edges, _ = case
+    edges = [e for e in edges if len(e) == 3 and all(type(x) is int for x in e)]
+    tokens = {1: ("+1", "1"), -1: ("-1", "-1")}
+    lines = [(i + 2, u, v, tokens[s][i % 2] if s in tokens else f"{s:+d}")
+             for i, (u, v, s) in enumerate(edges)]
+    target = tmp_path_factory.getbasetemp() / "faulty.txt"
+    target.write_text("".join([f"n {n}\n"] + [f"{u} {v} {t}\n" for _, u, v, t in lines]))
+    want = outcome(reference_read, target, n, lines, mode)
+    assert outcome(read_signed_graph, target, mode) == want
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 257, 300])
+def test_symmetry_checks_reach_every_tile(n):
+    # one asymmetric entry in the far corner tile, either side, or in the
+    # last diagonal tile
+    for u, v in [(0, n - 1), (n - 1, 0), (n - 2, n - 1)]:
+        bad = np.zeros((n, n), dtype=np.int64)
+        bad[u, v] = 1
+        with pytest.raises(ValueError, match="pos matrix must be symmetric"):
+            SignedGraph(n, bad, 0 * bad, MULTIGRAPH)
+        with pytest.raises(ValueError, match="neg matrix must be symmetric"):
+            SignedGraph(n, 0 * bad, bad, MULTIGRAPH)
+        # the tolerance is 1e-12 of max |w| on w - w.T
+        w = np.ones((n, n))
+        w[u, v] += 1.01e-12
+        with pytest.raises(ValueError, match="weights must be symmetric"):
+            WeightedGraph(n, w)
+        w[u, v] = 1.0 + 0.99e-12
+        half = w / 2.0
+        assert np.array_equal(WeightedGraph(n, w).weights, half + half.T)
+
+
 def test_comments_and_blank_lines_are_ignored(tmp_path):
     target = tmp_path / "commented.txt"
     target.write_text("# header comment\nn 3\n\n0 1 +1  # inline\n1 2 -1\n")

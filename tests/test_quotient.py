@@ -1,7 +1,9 @@
 """Equitable partitions, quotient matrices and walk compression."""
 
 import dataclasses
+import importlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,10 +15,12 @@ from sgwalk import (
     SignedGraph,
     amplitude,
     build_signed_graph,
+    circulant,
     coarsest_equitable,
     complete,
     cycle,
     discrete_partition,
+    hypercube,
     is_equitable,
     normalized_partition_matrix,
     partition_from_cell_of,
@@ -29,6 +33,8 @@ from sgwalk import (
     single_cell_partition,
     write_partition,
 )
+
+quotient_module = importlib.import_module("sgwalk.quotient")
 
 
 def edge_join():
@@ -242,3 +248,77 @@ def test_quotient_walk_is_the_compressed_full_walk(case, t):
     q = normalized_partition_matrix(p)
     reduced = propagator(quotient(g, p), t)
     assert np.abs(q.T @ propagator(g, t) @ q - reduced).max() < 1e-10
+
+
+def first_appearance(labels):
+    """Labels renumbered 0, 1, ... in the order they first appear."""
+    order = {}
+    return np.array([order.setdefault(c, len(order)) for c in labels], dtype=np.int64)
+
+
+def unique_rows_refinement(g, seed):
+    """Refinement by whole signature rows [cell | + counts | - counts], with
+    np.unique(axis=0) on dense count matrices."""
+    cell_of = seed.cell_of
+    while True:
+        m = int(cell_of.max()) + 1
+        member = np.zeros((g.n, m), dtype=np.int64)
+        member[np.arange(g.n), cell_of] = 1
+        rows = np.column_stack([cell_of, g.pos @ member, g.neg @ member])
+        _, inverse = np.unique(rows, axis=0, return_inverse=True)
+        refined = first_appearance(inverse.reshape(-1).tolist())
+        if refined.max() + 1 == m:
+            return refined
+        cell_of = refined
+
+
+def test_coarsest_equitable_matches_unique_rows_refinement():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n in (5, 60, 130, 300):
+        layers = []
+        for _ in range(2):
+            half = np.triu(rng.choice(3, size=(n, n), p=[0.97, 0.02, 0.01]), k=1)
+            layers.append(half + half.T)
+        for cells in (1, 2, 5):
+            labels = rng.integers(0, cells, size=n)
+            # each layer alone too: then only its own columns can split a cell
+            for pos, neg in ((layers[0], layers[1]), (0 * layers[0], layers[1]),
+                             (layers[0], 0 * layers[1])):
+                cases.append((SignedGraph(n, pos, neg, MULTIGRAPH), labels))
+    # many rounds: distance layers from one vertex, in shuffled labels
+    perm = rng.permutation(512)
+    cube = hypercube(9).adjacency[np.ix_(perm, perm)]
+    cases.append((SignedGraph(512, cube, 0 * cube), np.arange(512) != 7))
+    ring = circulant(300, [1, 7])
+    cases.append((SignedGraph(300, ring.pos, ring.pos, MULTIGRAPH), np.arange(300) != 0))
+    for g, labels in cases:
+        seed = partition_from_cell_of(labels)
+        want = unique_rows_refinement(g, seed)
+        got = coarsest_equitable(g, seed)
+        assert np.array_equal(got.cell_of, want)
+        assert got.cells == tuple(tuple(np.flatnonzero(want == k).tolist())
+                                  for k in range(got.m))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.integers(-3, 5), st.sampled_from([2 ** 64, -(2 ** 70)]))))
+def test_partition_from_cell_of_numbers_cells_by_first_vertex(labels):
+    want = first_appearance(labels)
+    for given_labels in (labels, np.array(labels) if labels else []):
+        p = partition_from_cell_of(given_labels)
+        assert np.array_equal(p.cell_of, want) and p.n == len(labels)
+        assert p.cells == tuple(tuple(np.flatnonzero(want == k).tolist())
+                                for k in range(p.m))
+
+
+def test_quotient_reuses_the_refinements_edge_scan():
+    g = hypercube(4)
+    p = coarsest_equitable(g, partition_from_cells([[0], list(range(1, 16))]))
+    scan = quotient_module._edge_scan(g)
+    assert all(not a.flags.writeable for layer in scan for a in layer)
+    assert quotient_module._edge_scan(g) is scan
+    assert quotient(g, p).n == 5 and quotient_module._edge_scan(g) is scan
+    alive = weakref.ref(g)
+    del g
+    assert alive() is None  # the scan does not keep its graph alive
