@@ -85,9 +85,7 @@ def cocktail_party(parts: int) -> SignedGraph:
         raise ValueError("cocktail party graph needs at least 2 parts")
     n = 2 * parts
     net = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    for x in range(parts):
-        net[x, x + parts] = 0
-        net[x + parts, x] = 0
+    net[np.arange(n), (np.arange(n) + parts) % n] = 0
     return from_net_matrix(net)
 
 
@@ -117,10 +115,9 @@ def circulant(n: int, connections: Iterable[int]) -> SignedGraph:
     if any(c < 1 or c > n // 2 for c in conns):
         raise ValueError("circulant connections must lie in 1..n//2")
     net = np.zeros((n, n), dtype=np.int64)
-    for c in conns:
-        for u in range(n):
-            net[u, (u + c) % n] = 1
-            net[(u + c) % n, u] = 1
+    u = np.arange(n)[:, None]
+    v = (u + np.array(conns, dtype=np.int64)) % n
+    net[u, v] = net[v, u] = 1
     return from_net_matrix(net)
 
 
@@ -214,11 +211,9 @@ class CubelikeSpec:
 
 def cubelike(spec: CubelikeSpec) -> SignedGraph:
     """Cubelike graph: u ~ v iff u XOR v lies in the connection set."""
-    n = 1 << spec.d
-    net = np.zeros((n, n), dtype=np.int64)
-    for u in range(n):
-        for c in spec.elements:
-            net[u, u ^ c] = 1
+    u = np.arange(1 << spec.d)[:, None]
+    net = np.zeros((len(u), len(u)), dtype=np.int64)
+    net[u, u ^ np.array(spec.elements)] = 1
     return from_net_matrix(net)
 
 
@@ -299,21 +294,25 @@ def regular_stats(g: SignedGraph) -> RegularGraphStats:
     return RegularGraphStats(g.n, int(degrees[0]) if g.n else 0)
 
 
+_REGULAR_TRIALS = 5000  # stub matchings random_regular tries before giving up
+
+
 def random_regular(n: int, k: int, seed: int = 0) -> SignedGraph:
-    """Seeded random simple k-regular graph (stub matching with rejection)."""
+    """Seeded random simple k-regular graph: stub matching with rejection,
+    16 trials per draw; same graph per seed as one shuffle per trial (a row
+    of ``rng.permuted(..., axis=1)`` draws the stream as ``rng.shuffle``)."""
     if n * k % 2:
         raise ValueError("n * k must be even")
     if not 0 < k < n:
         raise ValueError("degree must satisfy 0 < k < n")
     rng = np.random.default_rng(seed)
-    for _ in range(5000):
-        stubs = np.repeat(np.arange(n), k)
-        rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        if np.any(pairs[:, 0] == pairs[:, 1]):
-            continue
-        keys = {(min(int(u), int(v)), max(int(u), int(v))) for u, v in pairs}
-        if len(keys) != len(pairs):
-            continue
-        return build_signed_graph(n, [(u, v, 1) for u, v in keys])
+    stubs = np.broadcast_to(np.repeat(np.arange(n), k), (16, n * k))
+    for start in range(0, _REGULAR_TRIALS, len(stubs)):
+        ends = rng.permuted(stubs[:_REGULAR_TRIALS - start], axis=1).reshape(-1, n * k // 2, 2)
+        lo, hi = ends.min(axis=2), ends.max(axis=2)
+        keys = np.sort(lo * n + hi, axis=1)
+        good = (lo < hi).all(axis=1) & (keys[:, 1:] > keys[:, :-1]).all(axis=1)
+        if good.any():
+            lo, hi = lo[good.argmax()], hi[good.argmax()]
+            return build_signed_graph(n, np.column_stack([lo, hi, np.ones_like(lo)]))
     raise RuntimeError(f"could not sample a simple {k}-regular graph on {n} vertices")

@@ -47,7 +47,6 @@ __all__ = [
     "pst_search",
     "JoinSpectralData",
     "join_spectral_data",
-    "join_amplitude_formula",
     "signed_join_amplitude",
     "JoinPstCondition",
     "join_pst_condition",
@@ -487,25 +486,11 @@ def join_spectral_data(n1: int, k1: int, n2: int, k2: int) -> JoinSpectralData:
     )
 
 
-def join_amplitude_formula(amp_g1: WalkAmplitude, stats1, stats2,
-                           t: float) -> WalkAmplitude:
-    """Closed-form amplitude inside the negated block of a join.
-
-    ``amp_g1`` must be the time-reversed amplitude <b| exp(+i t A(G1)) |a>
-    for vertices a, b of the first block, i.e. the amplitude of G1 alone
-    evaluated at -t.  The join consists of the negated copy of G1, the
-    positive copy of G2 and all-positive cross edges.
-    """
-    data = join_spectral_data(stats1.n, stats1.k, stats2.n, stats2.k)
-    dp, dm, Delta = data.delta_plus, data.delta_minus, data.Delta
-    osc = math.cos(t * Delta) - 1j * (dp / Delta) * math.sin(t * Delta)
-    z = amp_g1.value + np.exp(-1j * t * dm) / stats1.n * (osc - np.exp(-1j * t * dp))
-    return WalkAmplitude.from_complex(complex(z), float(t))
-
-
 def signed_join_amplitude(g1: SignedGraph, g2: SignedGraph, a: int, b: int,
                           t: float) -> WalkAmplitude:
-    """Closed-form amplitude a -> b (both in G1) of the join G1^- + G2^+.
+    """Closed-form amplitude a -> b (both in G1) of the join G1^- + G2^+:
+    the negated copy of G1, the positive copy of G2 and all-positive cross
+    edges.  G1's part enters as the time-reversed amplitude of G1 alone.
 
     G1 must be connected and regular (the formula pins its top
     eigenvector to the all-ones vector); G2 must be regular.
@@ -515,8 +500,13 @@ def signed_join_amplitude(g1: SignedGraph, g2: SignedGraph, a: int, b: int,
     stats1, stats2 = regular_stats(g1), regular_stats(g2)
     if not is_connected(g1):
         raise ValueError("the first join factor must be connected")
-    amp_g1 = amplitude(g1, a, b, -float(t))
-    return join_amplitude_formula(amp_g1, stats1, stats2, float(t))
+    t = float(t)
+    data = join_spectral_data(stats1.n, stats1.k, stats2.n, stats2.k)
+    dp, dm, Delta = data.delta_plus, data.delta_minus, data.Delta
+    osc = math.cos(t * Delta) - 1j * (dp / Delta) * math.sin(t * Delta)
+    z = amplitude(g1, a, b, -t).value
+    z += np.exp(-1j * t * dm) / stats1.n * (osc - np.exp(-1j * t * dp))
+    return WalkAmplitude.from_complex(complex(z), t)
 
 
 @dataclass(frozen=True)
@@ -542,10 +532,11 @@ def join_pst_condition(k1: int, k2: int, n1: int, n2: int, D: int) -> JoinPstCon
     """
     if D < 1:
         raise ValueError("D must be a positive integer")
-    Delta = math.sqrt((k1 + k2) ** 2 + 4 * n1 * n2) / 2.0
-    rounded = round(Delta)
-    if abs(Delta - rounded) > 1e-9:
+    square = (k1 + k2) ** 2 + 4 * n1 * n2
+    Delta, root = math.sqrt(square) / 2.0, math.isqrt(square)
+    if root * root != square or root % 2:  # exact: Delta = root / 2 must be an integer
         return JoinPstCondition(False, Delta, None)
+    rounded = root // 2
     s = k1 + k2
     if rounded % (2 * D) == 0 and s % (4 * D) == 0:
         return JoinPstCondition(True, Delta, 1)
@@ -559,9 +550,9 @@ def unsigned_k2_join_condition(k: int, n: int) -> JoinPstCondition:
     k-regular graph on n vertices: transfer between the edge ends needs
     Delta = sqrt((k-1)^2 + 8n) integral with k-1 and Delta divisible by 8.
     """
-    Delta = math.sqrt((k - 1) ** 2 + 8 * n)
-    rounded = round(Delta)
-    if abs(Delta - rounded) > 1e-9:
+    square = (k - 1) ** 2 + 8 * n
+    Delta, rounded = math.sqrt(square), math.isqrt(square)
+    if rounded * rounded != square:
         return JoinPstCondition(False, Delta, None)
     holds = (k - 1) % 8 == 0 and rounded % 8 == 0
     return JoinPstCondition(holds, Delta, 1 if holds else None)

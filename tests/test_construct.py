@@ -1,5 +1,8 @@
 """Graph families, products, signed joins and double covers."""
 
+import importlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,36 @@ def test_circulant_families():
     assert regular_stats(c24).k == 7  # +/-1, +/-2, +/-3 and the antipode
     with pytest.raises(ValueError):
         circulant(6, (4,))
+
+
+def loop_families():
+    """Cocktail party, circulant and cubelike graphs built entry by entry."""
+    for parts in range(2, 7):
+        n = 2 * parts
+        net = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
+        for x in range(parts):
+            net[x, x + parts] = net[x + parts, x] = 0
+        yield cocktail_party(parts), net
+    for n in range(2, 11):
+        for conns in [(), (1,), (n // 2,), tuple(range(1, n // 2 + 1)), (1, n // 2)]:
+            net = np.zeros((n, n), dtype=np.int64)
+            for c in conns:
+                for u in range(n):
+                    net[u, (u + c) % n] = net[(u + c) % n, u] = 1
+            yield circulant(n, conns), net
+    for d in range(1, 6):
+        for elems in [(1,), ((1 << d) - 1,), tuple(1 << i for i in range(d)), (1, 3)[:d]]:
+            spec = CubelikeSpec(d, elems)
+            net = np.zeros((1 << d, 1 << d), dtype=np.int64)
+            for u in range(1 << d):
+                for c in spec.elements:
+                    net[u, u ^ c] = 1
+            yield cubelike(spec), net
+
+
+def test_array_built_families_match_their_loops():
+    for g, net in loop_families():
+        assert np.array_equal(g.adjacency, net) and not g.neg.any()
 
 
 def test_complete_bipartite_spectrum():
@@ -193,3 +226,68 @@ def test_random_regular_is_seeded_and_regular():
 def test_regular_stats_rejects_irregular():
     with pytest.raises(ValueError):
         regular_stats(path(3))
+
+
+def random_regular_reference(n, k, seed, trials=5000):
+    """Stub matching with rejection, one shuffle and one set of pairs per
+    trial: the trial-by-trial loop whose graphs random_regular keeps."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        stubs = np.repeat(np.arange(n), k)
+        rng.shuffle(stubs)
+        pairs = stubs.reshape(-1, 2)
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            continue
+        keys = {(min(int(u), int(v)), max(int(u), int(v))) for u, v in pairs}
+        if len(keys) != len(pairs):
+            continue
+        return build_signed_graph(n, [(u, v, 1) for u, v in keys])
+    raise RuntimeError(f"could not sample a simple {k}-regular graph on {n} vertices")
+
+
+def sampled(sampler, n, k, seed):
+    """The graph's adjacency bytes and mode, or the exhaustion message."""
+    try:
+        g = sampler(n, k, seed)
+    except RuntimeError as exc:
+        return str(exc)
+    return g.adjacency.tobytes(), g.mode
+
+
+def test_random_regular_matches_the_trial_by_trial_loop():
+    # k = n - 1 asks for K_n, which stub matching hits with a chance below
+    # 1e-5 from n = 7 on: those cells spend all 5,000 trials in both routes
+    # and are compared under a smaller trial count in the next test
+    for n in range(4, 41):
+        for k in sorted({2, 3, 4, n - 1}):
+            if n * k % 2 or k >= n or (k == n - 1 and n > 6):
+                continue
+            for seed in range(20):
+                assert sampled(random_regular, n, k, seed) == \
+                    sampled(random_regular_reference, n, k, seed), (n, k, seed)
+
+
+def test_random_regular_exhaustion_is_unchanged(monkeypatch):
+    construct = importlib.import_module("sgwalk.construct")
+    with pytest.raises(RuntimeError, match="^could not sample a simple 6-regular graph "
+                                           "on 7 vertices$"):
+        random_regular(7, 6, seed=0)  # K7 is not found in 5,000 trials
+
+    def reference_with(trials):
+        return lambda *case: random_regular_reference(*case, trials=trials)
+
+    # the trial count is honoured exactly, also inside a draw of 16 trials:
+    # a graph first found at trial t is missed under a limit of t - 1
+    for seed in range(20):
+        first = next(t for t in itertools.count(1)
+                     if not isinstance(sampled(reference_with(t), 10, 3, seed), str))
+        for trials in (first - 1, first):
+            monkeypatch.setattr(construct, "_REGULAR_TRIALS", trials)
+            want = sampled(reference_with(trials), 10, 3, seed)
+            assert sampled(random_regular, 10, 3, seed) == want, (seed, trials)
+    # the K_n cells of the grid above, under 40 trials
+    monkeypatch.setattr(construct, "_REGULAR_TRIALS", 40)
+    for n in range(7, 41):
+        for seed in range(20):
+            assert sampled(random_regular, n, n - 1, seed) == \
+                sampled(reference_with(40), n, n - 1, seed), (n, seed)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from sgwalk import (
     symmetric_power,
     symmetrizer,
 )
-from sgwalk.multiparticle import MAX_POWER_STATES, _hop_nets
+from sgwalk.multiparticle import MAX_POWER_STATES, _conjugate_exterior, _hop_nets
 
 
 def all_graphs(n):
@@ -162,6 +163,42 @@ def test_exterior_power_sign_rule_matches_conjugation_exhaustively():
                 oracle = exterior_power_oracle(g, k)
                 assert np.array_equal(built.adjacency.astype(float),
                                       oracle.weights)
+
+
+def test_oracles_conjugate_factor_by_factor_as_the_dense_kronecker_sum():
+    # exterior entries are exact {-1, 0, +1}; a boson entry w is sqrt of an
+    # integer (a_u (a_v + 1)), so sign(w) w^2 rounds to it in both routes
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        for k in range(1, 5):
+            for _ in range(3):
+                upper = np.triu(rng.integers(0, 2, size=(n, n)), k=1)
+                g = from_net_matrix(upper + upper.T)
+                box = cartesian_power_matrix(g, k).astype(float)
+                if k <= n:
+                    alt = antisymmetrizer(n, k)
+                    dense = alt.T @ box @ alt
+                    assert np.array_equal(exterior_power_oracle(g, k).weights, np.rint(dense))
+                sym = symmetrizer(n, k)
+                got, dense = boson_quotient_oracle(g, k).weights, sym.T @ box @ sym
+                for w in (got, dense):
+                    assert np.abs(w * w - np.rint(w * w)).max() < 1e-9
+                assert np.array_equal(np.rint(np.sign(got) * got * got),
+                                      np.rint(np.sign(dense) * dense * dense))
+
+
+def test_oracles_check_the_tuple_cap_before_allocating():
+    g = cycle(64)  # 64^4 tuples: a dense Kronecker sum would take 2 PiB
+    tracemalloc.start()
+    try:
+        for call in (lambda: exterior_power_oracle(g, 4), lambda: boson_quotient_oracle(g, 4),
+                     lambda: _conjugate_exterior(g, 4, np.zeros((0, 0)))):
+            with pytest.raises(ValueError, match="desk-scale cap"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_exterior_power_sign_rule_on_random_larger_graphs():

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from sgwalk import (
     MULTIGRAPH,
+    EquitableProfile,
     SignedGraph,
     amplitude,
     build_signed_graph,
@@ -322,3 +324,23 @@ def test_quotient_reuses_the_refinements_edge_scan():
     alive = weakref.ref(g)
     del g
     assert alive() is None  # the scan does not keep its graph alive
+
+
+def test_quotient_checks_the_closed_form_without_a_dense_matrix(monkeypatch):
+    g = hypercube(10)
+    p = coarsest_equitable(g, partition_from_cells([[0], list(range(1, g.n))]))
+    tracemalloc.start()
+    try:
+        quot = quotient(g, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n  # an n x n int64 matrix is 8 n^2 bytes
+    q = normalized_partition_matrix(p)
+    assert np.abs(q.T @ g.adjacency @ q - quot.matrix).max() < 1e-12
+    # a closed form that disagrees with Q^T A Q still fails the check
+    profile = is_equitable(g, p)[1]
+    wrong = EquitableProfile(profile.d_plus + 1, profile.d_minus.copy())
+    monkeypatch.setattr(quotient_module, "is_equitable", lambda *_: (True, wrong))
+    with pytest.raises(RuntimeError, match="^quotient entry rule mismatch beyond 1e-12$"):
+        quotient(g, p)

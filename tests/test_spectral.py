@@ -473,6 +473,20 @@ def test_join_pst_condition_cases():
                    for n in range(4, 201))
 
 
+def test_join_conditions_are_exact_integer_tests():
+    # 16 + 4 n2 and 64 + 8 n lie within 1e-9 of a square's float root here
+    # but are not squares
+    for cond in (join_pst_condition(2, 2, 1, 4 * 10 ** 18 - 3, 1),
+                 unsigned_k2_join_condition(9, (64 * 10 ** 18 - 56) // 8)):
+        assert not cond.holds and cond.branch is None and isinstance(cond.Delta, float)
+    # a true square at the same scale still holds: 16 + 4 (m^2 - 4) = (2m)^2
+    m = 2 * 10 ** 9
+    hit = join_pst_condition(2, 2, 1, m * m - 4, 1)
+    assert hit.holds and hit.branch == 1 and hit.Delta == float(m)
+    # an odd root gives a half-integer Delta, which is not an integer
+    assert not join_pst_condition(1, 0, 1, 2, 1).holds  # sqrt(1 + 8) / 2 = 1.5
+
+
 def test_decomposition_transfer_matches_direct():
     pos = hypercube(3)
     neg = cubelike(CubelikeSpec(3, (1, 2, 4, 7)))
