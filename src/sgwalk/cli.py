@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import (
     SignedGraph,
+    _format_rows,
     balance_verdict,
     format_edge_list,
     graph_edges,
@@ -218,6 +219,14 @@ def _json_number(x) -> float:
     return round(float(x), 12) + 0.0
 
 
+def _fixed_table(row: str, columns) -> str:
+    """Lines of ``row`` filled from the columns, each ``%.12f`` field as
+    :func:`fixed` prints it: both round the exact value to 12 places, and only
+    ``fixed`` drops the sign of a zero."""
+    return "".join(block.replace("-0.000000000000", "0.000000000000")
+                   for block in _format_rows(row, columns))
+
+
 def graph_document(graph, labels=None) -> str:
     """Edge list, with optional '# state <i> = ...' label comments."""
     lines = [format_edge_list(graph).rstrip("\n")]
@@ -361,14 +370,11 @@ def cmd_pst_search(args: argparse.Namespace) -> int:
             ],
         )
         return 0
-    rows = [
-        (fixed(v.time), fixed(v.fidelity), fixed(v.phase), v.kind) for v in verdicts
-    ]
-    if args.format == "csv":
-        lines = ["t,fidelity,phase,kind"] + [",".join(row) for row in rows]
-    else:
-        lines = [" ".join(row) for row in rows]
-    emit(args, "\n".join(lines))
+    sep = "," if args.format == "csv" else " "
+    columns = [[getattr(v, name) for v in verdicts]
+               for name in ("time", "fidelity", "phase", "kind")]
+    header = "t,fidelity,phase,kind\n" if args.format == "csv" else ""
+    emit(args, header + _fixed_table(sep.join(["%.12f"] * 3 + ["%s"]), columns))
     return 0
 
 
@@ -384,26 +390,15 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
         amps = amplitude_series(graph, args.src, args.dst, ts)
     except ValueError as exc:
         raise DomainError(str(exc)) from None
+    # abs(z) ** 2 bit for bit: abs is hypot, and ** 2 of a scalar is pow,
+    # which float_power calls and an array's ** 2 (x * x) is not
+    fidelity = np.float_power(np.hypot(amps.real, amps.imag), 2)
+    columns = [ts, amps.real, amps.imag, fidelity]
     if args.format == "json":
-        emit_json(
-            args,
-            [
-                {
-                    "t": _json_number(t),
-                    "re": _json_number(z.real),
-                    "im": _json_number(z.imag),
-                    "fidelity": _json_number(abs(z) ** 2),
-                }
-                for t, z in zip(ts, amps)
-            ],
-        )
-        return 0
-    lines = ["t,re,im,fidelity"]
-    for t, z in zip(ts, amps):
-        lines.append(
-            f"{fixed(t)},{fixed(z.real)},{fixed(z.imag)},{fixed(abs(z) ** 2)}"
-        )
-    emit(args, "\n".join(lines))
+        emit_json(args, [dict(zip(("t", "re", "im", "fidelity"), map(_json_number, row)))
+                         for row in zip(*(column.tolist() for column in columns))])
+    else:
+        emit(args, "t,re,im,fidelity\n" + _fixed_table(",".join(["%.12f"] * 4), columns))
     return 0
 
 

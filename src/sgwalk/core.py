@@ -15,6 +15,7 @@ immutable after construction (the backing arrays are marked read-only).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -413,6 +414,18 @@ def signed_union(a: SignedGraph, b: SignedGraph, sign_of_b: int = 1,
 # graphs may carry diagonal lines "u u w".
 
 
+def _edge_columns(g) -> tuple:
+    """The u, v and sign (or weight) columns of the lines of :func:`graph_edges`."""
+    if isinstance(g, SignedGraph):
+        uu, vv = np.nonzero(np.triu(g.support))
+        counts = np.stack((g.pos[uu, vv], g.neg[uu, vv]), axis=1).ravel()  # +1 first
+        return (np.repeat(np.repeat(uu, 2), counts), np.repeat(np.repeat(vv, 2), counts),
+                np.repeat(np.tile([1, -1], len(uu)), counts))
+    w = g.adjacency
+    uu, vv = np.nonzero(np.triu(w))
+    return uu, vv, w[uu, vv]
+
+
 def graph_edges(g) -> Iterator[tuple]:
     """Yield the edge lines of a graph as plain numbers, sorted by (u, v).
 
@@ -420,25 +433,40 @@ def graph_edges(g) -> Iterator[tuple]:
     and +1 before -1; weighted graphs give (u, v, weight) with u <= v,
     diagonal entries included.
     """
-    if isinstance(g, SignedGraph):
-        uu, vv = np.nonzero(np.triu(g.support))
-        for u, v, p, m in zip(uu.tolist(), vv.tolist(),
-                              g.pos[uu, vv].tolist(), g.neg[uu, vv].tolist()):
-            yield from [(u, v, 1)] * p + [(u, v, -1)] * m
-    else:
-        w = g.adjacency
-        uu, vv = np.nonzero(np.triu(w))
-        yield from zip(uu.tolist(), vv.tolist(), w[uu, vv].tolist())
+    yield from zip(*(column.tolist() for column in _edge_columns(g)))
+
+
+_BLOCK_ROWS = 16384  # rows per %-template: bounds the Python numbers alive at once
+
+
+def _format_rows(row: str, columns) -> Iterator[str]:
+    """Yield the lines ``row % values`` of the columns' rows, each block of
+    rows formatted by one %-format of the repeated template."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        cells = np.array([c[start:start + _BLOCK_ROWS] for c in columns], dtype=object)
+        yield (row + "\n") * cells.shape[1] % tuple(cells.T.ravel().tolist())
 
 
 def format_edge_list(g) -> str:
-    spec = "+d" if isinstance(g, SignedGraph) else ".15g"
-    lines = [f"n {g.n}"] + [f"{u} {v} {w:{spec}}" for u, v, w in graph_edges(g)]
-    return "\n".join(lines) + "\n"
+    row = "%d %d %+d" if isinstance(g, SignedGraph) else "%d %d %.15g"
+    return f"n {g.n}\n" + "".join(_format_rows(row, _edge_columns(g)))
 
 
 def write_edge_list(g, path) -> None:
     Path(path).write_text(format_edge_list(g))
+
+
+def _vertex_count(token: str, source: str, lineno: int) -> int:
+    """The vertex count of a header line, checked."""
+    try:
+        n = int(token)
+    except ValueError:
+        raise ValueError(f"{source}:{lineno}: bad vertex count {token!r}") from None
+    if n < 1:
+        raise ValueError(f"{source}:{lineno}: vertex count must be positive")
+    if 8 * n * n > np.iinfo(np.intp).max:  # no n x n int64 layer can be addressed
+        raise ValueError(f"{source}:{lineno}: vertex count {n} is too large")
+    return n
 
 
 def _parse_edge_lines(text: str, source: str):
@@ -452,14 +480,7 @@ def _parse_edge_lines(text: str, source: str):
         if n is None:
             if len(parts) != 2 or parts[0] != "n":
                 raise ValueError(f"{source}:{lineno}: expected header 'n <count>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ValueError(f"{source}:{lineno}: bad vertex count {parts[1]!r}") from None
-            if n < 1:
-                raise ValueError(f"{source}:{lineno}: vertex count must be positive")
-            if 8 * n * n > np.iinfo(np.intp).max:  # no n x n int64 layer can be addressed
-                raise ValueError(f"{source}:{lineno}: vertex count {n} is too large")
+            n = _vertex_count(parts[1], source, lineno)
             continue
         if len(parts) != 3:
             raise ValueError(f"{source}:{lineno}: expected 'u v s'")
@@ -474,25 +495,35 @@ def _parse_edge_lines(text: str, source: str):
 
 
 _SIGNS = {"+1": 1, "1": 1, "-1": -1}
+# The signed writer's own form: single spaces, "\n" endings, no comments, and
+# at most 18 digits a number, so that every token converts to int64.
+_NUMBER = "(?:0|[1-9][0-9]{0,17})"
+_SIGNED_FILE = re.compile(f"n [1-9][0-9]{{0,17}}\n(?:{_NUMBER} {_NUMBER} (?:\\+1|1|-1)\n)*")
 
 
 def read_signed_graph(path, mode: Optional[str] = None) -> SignedGraph:
     """Read a signed edge list.  ``mode=None`` selects simple mode unless
     the file contains parallel edges."""
     source = str(path)
-    n, triples = _parse_edge_lines(Path(path).read_text(), source)
-    lines, us, vs, tokens = zip(*triples) if triples else ((),) * 4
-    signs = [_SIGNS.get(token, 0) for token in tokens]
-    if 0 in signs:
-        i = signs.index(0)
-        raise ValueError(f"{source}:{lines[i]}: sign must be +1 or -1, got {tokens[i]!r}")
-    # With mode=None a repeat only picks the mode, and a bad vertex fails in
-    # either mode: the inexact keys of bad vertices, and the mode picked for
-    # a vertex beyond int64, change no outcome.
-    try:
-        edges = np.array((us, vs, signs), dtype=np.int64).T
-    except OverflowError:  # a vertex beyond int64: the error message quotes it
-        edges, mode = list(zip(us, vs, signs)), mode or MULTIGRAPH
+    text = Path(path).read_text()
+    if _SIGNED_FILE.fullmatch(text):  # no line can be bad: one tokenisation
+        tokens = text.split()
+        n = _vertex_count(tokens[1], source, 1)
+        edges = np.array(tokens[2:], dtype=np.int64).reshape(-1, 3)
+    else:  # the per-line loop reports the first bad line
+        n, triples = _parse_edge_lines(text, source)
+        lines, us, vs, tokens = zip(*triples) if triples else ((),) * 4
+        signs = [_SIGNS.get(token, 0) for token in tokens]
+        if 0 in signs:
+            i = signs.index(0)
+            raise ValueError(f"{source}:{lines[i]}: sign must be +1 or -1, got {tokens[i]!r}")
+        # With mode=None a repeat only picks the mode, and a bad vertex fails in
+        # either mode: the inexact keys of bad vertices, and the mode picked for
+        # a vertex beyond int64, change no outcome.
+        try:
+            edges = np.array((us, vs, signs), dtype=np.int64).T
+        except OverflowError:  # a vertex beyond int64: the error message quotes it
+            edges, mode = list(zip(us, vs, signs)), mode or MULTIGRAPH
     if mode is None:
         mode = MULTIGRAPH if _first_repeat(edges[:, 0], edges[:, 1], n) < len(edges) else SIMPLE
     return build_signed_graph(n, edges, mode)

@@ -33,7 +33,6 @@ from .core import SignedGraph, is_connected
 __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_GRID_STEP",
-    "EIG_GROUP_TOL",
     "Spectrum",
     "eig_sym",
     "WalkAmplitude",
@@ -56,7 +55,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9            # fidelity slack for PST / periodicity verdicts
 DEFAULT_GRID_STEP = 1e-3 * math.pi
-EIG_GROUP_TOL = 1e-8          # eigenvalue grouping, relative to max |entry|
 # Beyond |t| * max|eigenvalue| = 1/eps the phase t * lambda has no correct bit.
 _PHASE_LIMIT = 1.0 / np.finfo(float).eps
 
@@ -69,15 +67,10 @@ def adjacency_matrix(graph_or_matrix) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues (descending) and an orthonormal eigenvector basis.
-
-    ``scale`` records max(1, max |A_ij|) of the decomposed matrix; the
-    grouping tolerance for near-degenerate eigenvalues is relative to it.
-    """
+    """Eigenvalues (descending) and an orthonormal eigenvector basis."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
@@ -86,26 +79,6 @@ class Spectrum:
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
-
-    def groups(self, tol: float = EIG_GROUP_TOL) -> list:
-        """Indices of (near-)equal eigenvalues, chained at tol * scale."""
-        gap = tol * self.scale
-        out: list = []
-        for i, w in enumerate(self.eigenvalues):
-            if out and abs(self.eigenvalues[out[-1][-1]] - w) <= gap:
-                out[-1].append(i)
-            else:
-                out.append([i])
-        return out
-
-    def projectors(self, tol: float = EIG_GROUP_TOL) -> list:
-        """(eigenvalue, spectral projector) pairs for distinct eigenvalues."""
-        pairs = []
-        for idx in self.groups(tol):
-            cols = self.eigenvectors[:, idx]
-            value = float(np.mean(self.eigenvalues[idx]))
-            pairs.append((value, cols @ cols.T))
-        return pairs
 
 
 # graph -> Spectrum; graph values are read-only and hash by identity
@@ -142,7 +115,7 @@ def eig_sym(graph_or_matrix) -> Spectrum:
     # negated comparisons so that a NaN residual fails the contract
     if not (recon <= 1e-10 * scale and orth <= 1e-10):
         raise RuntimeError("eigendecomposition failed its accuracy contract")
-    spec = Spectrum(w, v, scale)
+    spec = Spectrum(w, v)
     if is_graph:
         _SPECTRA[graph_or_matrix] = spec
     return spec

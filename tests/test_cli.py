@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+import unittest.mock
 
 import jsonschema
 import numpy as np
@@ -17,8 +19,9 @@ from hypothesis import strategies as st
 
 import sgwalk
 from sgwalk import REPORT_SCHEMA, read_signed_graph, read_weighted_graph
-from sgwalk import cli
+from sgwalk import cli, core
 from sgwalk.cli import UsageError, main, parse_graph_atom, parse_time_expression
+from sgwalk.scenarios import fixed
 
 
 def run(capsys, *argv):
@@ -252,6 +255,64 @@ def test_fidelity_curve(capsys, tmp_path):
     assert len(lines) == 6
     mid = lines[3].split(",")  # t = pi/2
     assert float(mid[3]) == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_table(rows, sep):
+    """The per-value loop that the table writer replaces."""
+    return "".join(sep.join(x if isinstance(x, str) else fixed(x) for x in row) + "\n"
+                   for row in rows)
+
+
+@st.composite
+def table_values(draw):
+    """Floats where 12-place rounding is delicate: next to k / 10^12, exact
+    halves at the 13th place, tiny negatives that round to zero, and
+    magnitudes from 1e-16 to 1e8."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        x = draw(st.integers(-10 ** 14, 10 ** 14)) / 1e12
+        return x + draw(st.integers(-3, 3)) * math.ulp(x)
+    if kind == 1:  # odd multiples of 2^-13 end in a 5 at the 13th place
+        return (2 * draw(st.integers(-2 ** 39, 2 ** 39)) + 1) * 2.0 ** -13
+    if kind == 2:
+        return -draw(st.floats(0.0, 5e-13))
+    return draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1.0, 9.99)) * 10.0 ** draw(
+        st.integers(-16, 8))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(st.tuples(*[table_values()] * k),
+                                                     max_size=20).map(lambda rows: (k, rows))),
+       st.lists(st.sampled_from(["pst", "none"]), min_size=20, max_size=20),
+       st.sampled_from([",", " "]), st.booleans(), st.sampled_from([1, 3, 16384]))
+def test_table_writer_prints_as_fixed(case, kinds, sep, with_kinds, block):
+    # fidelity-curve rows are float arrays; pst-search rows are lists with a kind
+    width, rows = case
+    columns = [np.array([row[j] for row in rows], dtype=float) for j in range(width)]
+    template = sep.join(["%.12f"] * width)
+    if with_kinds:
+        columns = [column.tolist() for column in columns] + [kinds[:len(rows)]]
+        rows = [row + (kind,) for row, kind in zip(rows, kinds)]
+        template += sep + "%s"
+    with unittest.mock.patch.object(core, "_BLOCK_ROWS", block):
+        assert cli._fixed_table(template, columns) == reference_table(rows, sep)
+
+
+def test_table_writer_memory_is_bounded_by_its_output():
+    rows = 200_000
+    columns = [np.linspace(-1.0, 1.0, rows) * 10.0 ** j for j in range(4)]
+    tracemalloc.start()
+    try:
+        text = cli._fixed_table(",".join(["%.12f"] * 4), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = text.splitlines()
+    assert len(lines) == rows
+    seam = [column[16383:16385] for column in columns]  # the first block's end
+    assert "\n".join(lines[16383:16385]) + "\n" == reference_table(zip(*seam), ",")
+    # the text and its blocks, plus one block's Python floats
+    assert peak < 3 * len(text)
 
 
 def test_construct_families_parse_back(capsys, tmp_path):

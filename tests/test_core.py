@@ -27,6 +27,7 @@ from sgwalk import (
     underlying,
     write_edge_list,
 )
+from sgwalk import core
 from sgwalk.cli import graph_payload
 from sgwalk.construct import complete, cycle, path
 
@@ -269,12 +270,31 @@ def test_weighted_edge_list_round_trip_property(tmp_path_factory, g):
     assert np.array_equal(back.weights != 0.0, g.weights != 0.0)
 
 
+def reference_edges(g):
+    """The per-pair generator loop that the column enumeration replaces."""
+    if isinstance(g, SignedGraph):
+        uu, vv = np.nonzero(np.triu(g.support))
+        for u, v, p, m in zip(uu.tolist(), vv.tolist(),
+                              g.pos[uu, vv].tolist(), g.neg[uu, vv].tolist()):
+            yield from [(u, v, 1)] * p + [(u, v, -1)] * m
+    else:
+        w = g.adjacency
+        uu, vv = np.nonzero(np.triu(w))
+        yield from zip(uu.tolist(), vv.tolist(), w[uu, vv].tolist())
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.one_of(signed_multigraphs(), weighted_graphs()))
 def test_graph_payload_lists_the_edge_lines(g):
+    want = list(reference_edges(g))
+    got = list(graph_edges(g))
+    assert got == want and [tuple(map(type, e)) for e in got] == [tuple(map(type, e)) for e in want]
+    spec = "+d" if isinstance(g, SignedGraph) else ".15g"
+    assert format_edge_list(g) == "\n".join([f"n {g.n}"] + [f"{u} {v} {w:{spec}}"
+                                                           for u, v, w in want]) + "\n"
     # weights print rounded to 12 places, never as -0.0
     rows = [[u, v, w if isinstance(g, SignedGraph) else round(w, 12) + 0.0]
-            for u, v, w in graph_edges(g)]
+            for u, v, w in want]
     assert graph_payload(g) == {"n": g.n, "edges": rows}
     # one line per edge, sorted by (u, v) with +1 before -1, upper triangle
     signed = isinstance(g, SignedGraph)
@@ -399,17 +419,62 @@ def test_build_matches_the_per_edge_loop(case):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(faulty_edge_lists(), st.sampled_from([None, SIMPLE, MULTIGRAPH]))
-def test_read_matches_the_per_line_loop(tmp_path_factory, case, mode):
+@given(faulty_edge_lists(), st.sampled_from([None, SIMPLE, MULTIGRAPH]), st.booleans())
+def test_read_matches_the_per_line_loop(tmp_path_factory, case, mode, canonical):
     n, edges, _ = case
     edges = [e for e in edges if len(e) == 3 and all(type(x) is int for x in e)]
     tokens = {1: ("+1", "1"), -1: ("-1", "-1")}
     lines = [(i + 2, u, v, tokens[s][i % 2] if s in tokens else f"{s:+d}")
              for i, (u, v, s) in enumerate(edges)]
+    # the writer's own form takes one tokenisation; a double space, the loop
+    gap = " " if canonical else "  "
+    text = "".join([f"n {n}\n"] + [f"{u}{gap}{v} {t}\n" for _, u, v, t in lines])
+    assert bool(core._SIGNED_FILE.fullmatch(text)) == ((canonical or not edges) and all(
+        0 <= u < 10 ** 18 and 0 <= v < 10 ** 18 and s in tokens for u, v, s in edges))
     target = tmp_path_factory.getbasetemp() / "faulty.txt"
-    target.write_text("".join([f"n {n}\n"] + [f"{u} {v} {t}\n" for _, u, v, t in lines]))
+    target.write_text(text)
     want = outcome(reference_read, target, n, lines, mode)
     assert outcome(read_signed_graph, target, mode) == want
+
+
+@pytest.mark.parametrize("text, same_as", [
+    ("n 3\n0 1 01\n", "sign must be +1 or -1, got '01'"),
+    ("n 3\n0 1 +01\n", "sign must be +1 or -1, got '+01'"),
+    ("n 3\n0 1 1.0\n", "sign must be +1 or -1, got '1.0'"),
+    ("n 007\n0 1 +1\n", "n 7\n0 1 +1\n"),
+    ("n 3\n0 1 +1 \n", "n 3\n0 1 +1\n"),
+    ("n 3\r\n0 1 +1\r\n1 2 -1\r\n", "n 3\n0 1 +1\n1 2 -1\n"),
+    ("n 3\n0 1 +1\n1 2 -1", "n 3\n0 1 +1\n1 2 -1\n"),
+    ("n 3\n0 1 +1\n# 1 2 -1\n", "n 3\n0 1 +1\n"),
+    ("n 3\n0 01 +1\n", "n 3\n0 1 +1\n"),
+    ("n 3\n1000000000000000000 1 +1\n",
+     "edge (1000000000000000000, 1) out of range for 3 vertices"),
+    ("n 3\n0 99999999999999999999 -1\n",
+     "edge (0, 99999999999999999999) out of range for 3 vertices"),
+    ("n 1000000000000000000\n", ":1: vertex count 1000000000000000000 is too large"),
+    ("n 10000000000000000000\n", ":1: vertex count 10000000000000000000 is too large"),
+])
+def test_near_canonical_files_read_as_the_loop_reads_them(tmp_path, text, same_as):
+    assert not core._SIGNED_FILE.fullmatch(text)
+    target = tmp_path / "near.txt"
+    target.write_bytes(text.encode())
+    got = outcome(read_signed_graph, target)
+    if same_as.startswith("n "):
+        assert core._SIGNED_FILE.fullmatch(same_as)
+        twin = tmp_path / "twin.txt"
+        twin.write_text(same_as)
+        assert got == outcome(read_signed_graph, twin)
+    else:
+        assert got == same_as or got.endswith(same_as)
+
+
+def test_canonical_header_checks_are_the_loops(tmp_path):
+    # 18 digits take one tokenisation, 19 the loop: the same check answers
+    for digits in (18, 19):
+        target = tmp_path / f"header{digits}.txt"
+        target.write_text(f"n {'9' * digits}\n")
+        with pytest.raises(ValueError, match=f"^{target}:1: vertex count 9{{{digits}}} is too large$"):
+            read_signed_graph(target)
 
 
 @pytest.mark.parametrize("n", [127, 128, 129, 257, 300])

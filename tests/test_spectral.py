@@ -128,17 +128,6 @@ def test_adjacency_matrix_accepts_graphs_and_arrays():
     assert np.array_equal(adjacency_matrix(m), m)
 
 
-def test_spectrum_groups_and_projectors():
-    spec = eig_sym(complete(4))  # eigenvalues 3, -1, -1, -1
-    groups = spec.groups()
-    assert [len(g) for g in groups] == [1, 3]
-    total = np.zeros((4, 4))
-    for value, proj in spec.projectors():
-        assert np.abs(proj @ proj - proj).max() < 1e-10
-        total += value * proj
-    assert np.abs(total - complete(4).adjacency).max() < 1e-10
-
-
 def test_propagator_is_unitary_and_matches_expm():
     rng = np.random.default_rng(23)
     for _ in range(8):
