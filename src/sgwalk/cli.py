@@ -50,7 +50,6 @@ from .quotient import (
 )
 from .scenarios import (
     SCENARIO_IDS,
-    fixed,
     report_to_dict,
     run_all_scenarios,
     run_scenario,
@@ -205,7 +204,10 @@ def emit(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -221,10 +223,26 @@ def _json_number(x) -> float:
 
 def _fixed_table(row: str, columns) -> str:
     """Lines of ``row`` filled from the columns, each ``%.12f`` field as
-    :func:`fixed` prints it: both round the exact value to 12 places, and only
-    ``fixed`` drops the sign of a zero."""
+    :func:`scenarios.fixed` prints it: both round the exact value to 12 places,
+    and only ``fixed`` drops the sign of a zero."""
     return "".join(block.replace("-0.000000000000", "0.000000000000")
                    for block in _format_rows(row, columns))
+
+
+def _emit_table(args: argparse.Namespace, names, columns, text_sep=",") -> None:
+    """Print named columns as JSON records or as rows of ``%.12f`` numbers and
+    ``%s`` strings, comma-separated under a header of the names.  Text rows
+    take ``text_sep``; separated otherwise, they are not CSV and get no header."""
+    columns = [np.asarray(column) for column in columns]
+    fields = ["%s" if column.dtype.kind == "U" else "%.12f" for column in columns]
+    if args.format == "json":
+        cells = [column.tolist() if field == "%s" else map(_json_number, column.tolist())
+                 for column, field in zip(columns, fields)]
+        emit_json(args, [dict(zip(names, row)) for row in zip(*cells)])
+        return
+    sep = text_sep if args.format == "text" else ","
+    header = ",".join(names) + "\n" if sep == "," else ""
+    emit(args, header + _fixed_table(sep.join(fields), columns))
 
 
 def graph_document(graph, labels=None) -> str:
@@ -256,53 +274,51 @@ def emit_graph(args: argparse.Namespace, graph, labels=None) -> None:
 # subcommand handlers
 
 
+def _cubelike(d: int, conn: str) -> SignedGraph:
+    elements = []
+    for tok in conn.split(","):
+        tok = tok.strip()
+        if len(tok) != d or any(ch not in "01" for ch in tok):
+            raise UsageError(f"connection {tok!r} must be a {d}-bit string of 0s and 1s")
+        elements.append(int(tok, 2))
+    return construct.cubelike(CubelikeSpec(d, tuple(elements)))
+
+
+# family -> (its flags in check order, and the builder of their values); a flag
+# given as (flag, convert) is converted as soon as it is checked, so a bad --conn
+# is reported before a missing --n.  Builders look the library up per call.
+_FAMILIES = {
+    "complete": (["n"], lambda n: construct.complete(n)),
+    "cycle": (["n"], lambda n: construct.cycle(n)),
+    "path": (["n"], lambda n: construct.path(n)),
+    "hypercube": (["d"], lambda d: construct.hypercube(d)),
+    "cocktail-party": (["parts"], lambda parts: construct.cocktail_party(parts)),
+    "complete-bipartite": (["m", "n"], lambda m, n: construct.complete_bipartite(m, n)),
+    "petersen": ([], lambda: construct.petersen()),
+    "circulant": ([("conn", lambda text: [int(tok) for tok in text.split(",")]), "n"],
+                  lambda conn, n: construct.circulant(n, conn)),
+    "cubelike": (["d", "conn"], _cubelike),
+    "join": ([("neg", lambda text: parse_graph_atom(text)),
+              ("pos", lambda text: parse_graph_atom(text)), "cross"],
+             lambda neg, pos, cross: signed_join(neg, pos, -1, cross)),
+}
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     family = args.family.lower()
-
-    def need(flag: str, value):
-        if value is None:
-            raise UsageError(f"--family {family} requires --{flag}")
-        return value
-
+    if family not in _FAMILIES:
+        raise UsageError(
+            f"unknown family {args.family!r}; choose one of: {', '.join(_FAMILIES)}")
+    flags, build = _FAMILIES[family]
+    values = []
     try:
-        if family == "complete":
-            graph = construct.complete(need("n", args.n))
-        elif family == "cycle":
-            graph = construct.cycle(need("n", args.n))
-        elif family == "path":
-            graph = construct.path(need("n", args.n))
-        elif family == "hypercube":
-            graph = construct.hypercube(need("d", args.d))
-        elif family == "cocktail-party":
-            graph = construct.cocktail_party(need("parts", args.parts))
-        elif family == "complete-bipartite":
-            graph = construct.complete_bipartite(need("m", args.m), need("n", args.n))
-        elif family == "petersen":
-            graph = construct.petersen()
-        elif family == "circulant":
-            conn = [int(tok) for tok in need("conn", args.conn).split(",")]
-            graph = construct.circulant(need("n", args.n), conn)
-        elif family == "cubelike":
-            d = need("d", args.d)
-            elements = []
-            for tok in need("conn", args.conn).split(","):
-                tok = tok.strip()
-                if len(tok) != d or any(ch not in "01" for ch in tok):
-                    raise UsageError(
-                        f"connection {tok!r} must be a {d}-bit string of 0s and 1s"
-                    )
-                elements.append(int(tok, 2))
-            graph = construct.cubelike(CubelikeSpec(d, tuple(elements)))
-        elif family == "join":
-            g1 = parse_graph_atom(need("neg", args.neg))
-            g2 = parse_graph_atom(need("pos", args.pos))
-            graph = signed_join(g1, g2, -1, args.cross)
-        else:
-            raise UsageError(
-                f"unknown family {args.family!r}; choose one of: complete, cycle, "
-                "path, hypercube, cocktail-party, complete-bipartite, petersen, "
-                "circulant, cubelike, join"
-            )
+        for flag in flags:
+            flag, convert = (flag, None) if isinstance(flag, str) else flag
+            value = getattr(args, flag)
+            if value is None:
+                raise UsageError(f"--family {family} requires --{flag}")
+            values.append(value if convert is None else convert(value))
+        graph = build(*values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     emit_graph(args, graph)
@@ -322,28 +338,14 @@ def cmd_walk(args: argparse.Namespace) -> int:
         amp = amplitude(graph, args.src, args.dst, t)
     except ValueError as exc:
         raise DomainError(str(exc)) from None
+    columns = [[t], [amp.re], [amp.im], [amp.fidelity]]
     if args.format == "json":
-        emit_json(
-            args,
-            {
-                "time": _json_number(t),
-                "re": _json_number(amp.re),
-                "im": _json_number(amp.im),
-                "fidelity": _json_number(amp.fidelity),
-                "phase": _json_number(amp.phase),
-            },
-        )
+        values = map(_json_number, (t, amp.re, amp.im, amp.fidelity, amp.phase))
+        emit_json(args, dict(zip(("time", "re", "im", "fidelity", "phase"), values)))
     elif args.format == "csv":
-        emit(
-            args,
-            "t,re,im,fidelity\n"
-            f"{fixed(t)},{fixed(amp.re)},{fixed(amp.im)},{fixed(amp.fidelity)}",
-        )
+        _emit_table(args, ("t", "re", "im", "fidelity"), columns)
     else:
-        emit(
-            args,
-            f"re={fixed(amp.re)} im={fixed(amp.im)} fidelity={fixed(amp.fidelity)}",
-        )
+        emit(args, _fixed_table("re=%.12f im=%.12f fidelity=%.12f", columns[1:]))
     return 0
 
 
@@ -352,29 +354,15 @@ def cmd_pst_search(args: argparse.Namespace) -> int:
     t_max = parse_time_expression(args.t_max)
     if t_max <= 0:
         raise UsageError("--t-max must be positive")
+    if not math.isfinite(args.tol):
+        raise UsageError(f"--tol must be finite, not {args.tol}")
     try:
         verdicts = pst_search(graph, args.src, args.dst, t_max, tol=args.tol)
     except ValueError as exc:
         raise DomainError(str(exc)) from None
-    if args.format == "json":
-        emit_json(
-            args,
-            [
-                {
-                    "t": _json_number(v.time),
-                    "fidelity": _json_number(v.fidelity),
-                    "phase": _json_number(v.phase),
-                    "kind": v.kind,
-                }
-                for v in verdicts
-            ],
-        )
-        return 0
-    sep = "," if args.format == "csv" else " "
     columns = [[getattr(v, name) for v in verdicts]
                for name in ("time", "fidelity", "phase", "kind")]
-    header = "t,fidelity,phase,kind\n" if args.format == "csv" else ""
-    emit(args, header + _fixed_table(sep.join(["%.12f"] * 3 + ["%s"]), columns))
+    _emit_table(args, ("t", "fidelity", "phase", "kind"), columns, text_sep=" ")
     return 0
 
 
@@ -393,12 +381,7 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
     # abs(z) ** 2 bit for bit: abs is hypot, and ** 2 of a scalar is pow,
     # which float_power calls and an array's ** 2 (x * x) is not
     fidelity = np.float_power(np.hypot(amps.real, amps.imag), 2)
-    columns = [ts, amps.real, amps.imag, fidelity]
-    if args.format == "json":
-        emit_json(args, [dict(zip(("t", "re", "im", "fidelity"), map(_json_number, row)))
-                         for row in zip(*(column.tolist() for column in columns))])
-    else:
-        emit(args, "t,re,im,fidelity\n" + _fixed_table(",".join(["%.12f"] * 4), columns))
+    _emit_table(args, ("t", "re", "im", "fidelity"), [ts, amps.real, amps.imag, fidelity])
     return 0
 
 
@@ -501,10 +484,7 @@ def _report_lines(report) -> list:
 
 
 def _report_exit_code(reports) -> int:
-    for report in reports:
-        if any(claim.status == "fail" for claim in report.claims):
-            return 1
-    return 0
+    return int(any(claim.status == "fail" for report in reports for claim in report.claims))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -563,9 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", parents=[common],
                        help="build a named graph family as an edge list")
-    p.add_argument("--family", required=True,
-                   help="complete, cycle, path, hypercube, cocktail-party, "
-                        "complete-bipartite, petersen, circulant, cubelike, join")
+    p.add_argument("--family", required=True, help=", ".join(_FAMILIES))
     p.add_argument("--n", type=int, help="vertex count (cycle, complete, ...)")
     p.add_argument("--m", type=int, help="first side of complete-bipartite")
     p.add_argument("--d", type=int, help="dimension (hypercube, cubelike)")

@@ -1,6 +1,7 @@
 """Command-line interface: formats, golden lines, exit codes, determinism."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -346,17 +347,54 @@ def test_construct_join_matches_library(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_construct_usage_errors(capsys, tmp_path):
-    for argv in (
-        ["construct", "--family", "nonsense"],
-        ["construct", "--family", "cycle"],  # missing --n
-        ["construct", "--family", "cycle", "--n", "2"],
-        ["construct", "--family", "cubelike", "--d", "3", "--conn", "01,10"],
-        ["construct", "--family", "join", "--neg", "z1", "--pos", "k4"],
-    ):
-        code, _, err = run(capsys, *argv)
-        assert code == 2
-        assert err.startswith("error:")
+FAMILIES = ("complete, cycle, path, hypercube, cocktail-party, complete-bipartite, "
+            "petersen, circulant, cubelike, join")
+
+
+def test_construct_usage_errors(capsys):
+    atoms = "expected k<n>, k<m>,<n>, c<n>, p<n>, q<d>, cp<parts> or petersen"
+    cases = [
+        (["nonsense"], f"unknown family 'nonsense'; choose one of: {FAMILIES}"),
+        (["Nonsense"], f"unknown family 'Nonsense'; choose one of: {FAMILIES}"),
+        ([""], f"unknown family ''; choose one of: {FAMILIES}"),
+        (["complete"], "--family complete requires --n"),
+        (["Cycle"], "--family cycle requires --n"),
+        (["path"], "--family path requires --n"),
+        (["hypercube"], "--family hypercube requires --d"),
+        (["cocktail-party"], "--family cocktail-party requires --parts"),
+        # each flag is checked in the family's order, before any value is used
+        (["complete-bipartite"], "--family complete-bipartite requires --m"),
+        (["complete-bipartite", "--n", "3"], "--family complete-bipartite requires --m"),
+        (["complete-bipartite", "--m", "3"], "--family complete-bipartite requires --n"),
+        (["circulant", "--n", "5"], "--family circulant requires --conn"),
+        (["circulant", "--conn", "1,2"], "--family circulant requires --n"),
+        # --conn is converted as soon as it is checked: its fault comes first
+        (["circulant", "--conn", "1,x"], "invalid literal for int() with base 10: 'x'"),
+        (["circulant", "--conn", "1,x", "--n", "5"],
+         "invalid literal for int() with base 10: 'x'"),
+        (["circulant", "--conn", "3", "--n", "5"], "circulant connections must lie in 1..n//2"),
+        (["cubelike", "--conn", "01"], "--family cubelike requires --d"),
+        (["cubelike", "--d", "3"], "--family cubelike requires --conn"),
+        (["cubelike", "--d", "3", "--conn", "01,10"],
+         "connection '01' must be a 3-bit string of 0s and 1s"),
+        (["cubelike", "--d", "2", "--conn", "01, 0x"],
+         "connection '0x' must be a 2-bit string of 0s and 1s"),
+        (["cubelike", "--d", "2", "--conn", "01,,10"],
+         "connection '' must be a 2-bit string of 0s and 1s"),
+        (["cubelike", "--d", "2", "--conn", "00"], "connection elements must lie in 1..3"),
+        (["join", "--pos", "k4"], "--family join requires --neg"),
+        (["join", "--neg", "z1"], f"unknown graph name 'z1'; {atoms}"),
+        (["join", "--neg", "z1", "--pos", "k4"], f"unknown graph name 'z1'; {atoms}"),
+        (["join", "--neg", "k2"], "--family join requires --pos"),
+        (["join", "--neg", "k2", "--pos", "kx"],
+         "bad graph name 'kx': invalid literal for int() with base 10: 'x'"),
+        (["cycle", "--n", "2"], "cycle needs n >= 3"),
+    ]
+    for extra, message in cases:
+        assert run(capsys, "construct", "--family", *extra) == (2, "", f"error: {message}\n")
+    with pytest.raises(SystemExit):
+        main(["construct", "--help"])
+    assert FAMILIES in " ".join(capsys.readouterr().out.split())
 
 
 def test_exit_codes_for_walk(capsys, tmp_path):
@@ -427,6 +465,45 @@ def test_tol_is_a_pst_search_flag_only(capsys, tmp_path):
     code, out, _ = run(capsys, "pst-search", k2, "--from", "0", "--to", "1",
                        "--t-max", "pi", "--tol", "-1")
     assert code == 0 and out.split()[-1] == "none"
+    # but not a non-finite one: nan would call K2's transfer "none", inf every peak "pst"
+    for tol in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "pst-search", k2, "--from", "0", "--to", "1",
+                             "--t-max", "pi", f"--tol={tol}")
+        assert (code, out, err) == (2, "", f"error: --tol must be finite, not {tol}\n")
+
+
+def test_walk_tables_golden_formats(capsys, tmp_path):
+    # the README's square, 0 -> 2, in every table format
+    square = write_square(tmp_path)
+    code, out, err = run(capsys, "walk", square, "--from", "0", "--to", "2",
+                         "--time", "pi/2", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == "t,re,im,fidelity\n1.570796326795,-1.000000000000,0.000000000000,1.000000000000\n"
+    pst = ["pst-search", square, "--from", "0", "--to", "2", "--t-max", "4*pi"]
+    times = ("1.570796326795", "4.712388980385", "7.853981633974", "10.995574287564")
+    code, out, err = run(capsys, *pst, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == "t,fidelity,phase,kind\n" + "".join(
+        f"{t},1.000000000000,3.141592653590,pst\n" for t in times)
+    records = [{"fidelity": 1.0, "kind": "pst", "phase": 3.14159265359, "t": float(t)}
+               for t in times]
+    code, out, err = run(capsys, *pst, "--format", "json")
+    assert (code, out, err) == (0, json.dumps(records, indent=2, sort_keys=True) + "\n", "")
+    curve = ["fidelity-curve", square, "--from", "0", "--to", "2", "--t-max", "pi",
+             "--points", "5"]
+    table = ("t,re,im,fidelity\n"
+             "0.000000000000,0.000000000000,0.000000000000,0.000000000000\n"
+             "0.785398163397,-0.500000000000,0.000000000000,0.250000000000\n"
+             "1.570796326795,-1.000000000000,0.000000000000,1.000000000000\n"
+             "2.356194490192,-0.500000000000,0.000000000000,0.250000000000\n"
+             "3.141592653590,0.000000000000,0.000000000000,0.000000000000\n")
+    for fmt in ("text", "csv"):
+        assert run(capsys, *curve, "--format", fmt) == (0, table, "")
+    records = [{"t": t, "re": re, "im": 0.0, "fidelity": re * re}
+               for t, re in ((0.0, 0.0), (0.785398163397, -0.5), (1.570796326795, -1.0),
+                             (2.356194490192, -0.5), (3.14159265359, 0.0))]
+    code, out, err = run(capsys, *curve, "--format", "json")
+    assert (code, out, err) == (0, json.dumps(records, indent=2, sort_keys=True) + "\n", "")
 
 
 def test_csv_is_offered_only_for_tables(capsys, tmp_path):
@@ -639,3 +716,17 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0 and out == ""
     assert target.read_text() == (
         "re=0.000000000000 im=-1.000000000000 fidelity=1.000000000000\n")
+
+
+def test_an_unwritable_out_path_is_a_usage_error(capsys, tmp_path):
+    k2 = write_k2(tmp_path)
+    walk = ["walk", k2, "--from", "0", "--to", "1", "--time", "pi/2"]
+    for target, errno_code in ((tmp_path / "missing" / "result.txt", errno.ENOENT),
+                               (tmp_path, errno.EISDIR)):
+        for argv in (walk, ["verify-all"]):
+            code, out, err = run(capsys, *argv, "--out", str(target))
+            assert (code, out) == (2, "")
+            assert err == f"error: cannot write {target}: {os.strerror(errno_code)}\n"
+    proc = run_capped(*walk, "--out", str(tmp_path / "missing" / "result.txt"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: cannot write") and "Traceback" not in proc.stderr
