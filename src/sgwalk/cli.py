@@ -7,8 +7,8 @@ produce byte-identical output (scenario runtimes excepted, which golden
 comparisons must ignore).
 
 Exit codes: 0 success (including scenario discrepancies), 1 a scenario
-claim failed, 2 usage or parse error, 3 domain error (vertex out of
-range, invalid operation for the given graph).
+claim failed, 2 usage or parse error, 3 domain error: any ValueError a
+command raises (vertex out of range, invalid operation for the given graph).
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ from .spectral import DEFAULT_TOL, amplitude, amplitude_series, pst_search
 
 class UsageError(Exception):
     """Bad arguments or unreadable input: exit code 2."""
-
-
-class DomainError(Exception):
-    """Structurally valid input outside an operation's domain: exit code 3."""
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +166,7 @@ def load_graph(path: str):
 def load_signed_graph(path: str) -> SignedGraph:
     graph = load_graph(path)
     if not isinstance(graph, SignedGraph):
-        raise DomainError(f"{path}: this command needs a +1/-1 signed graph")
+        raise ValueError(f"{path}: this command needs a +1/-1 signed graph")
     return graph
 
 
@@ -190,10 +186,9 @@ def parse_cells(text: str):
     return cells
 
 
-def require_vertex(graph, label: str, v: int) -> int:
+def require_vertex(graph, label: str, v: int) -> None:
     if not 0 <= v < graph.n:
-        raise DomainError(f"vertex {label}={v} out of range for {graph.n} vertices")
-    return v
+        raise ValueError(f"vertex {label}={v} out of range for {graph.n} vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +270,8 @@ def emit_graph(args: argparse.Namespace, graph, labels=None) -> None:
 
 
 def _cubelike(d: int, conn: str) -> SignedGraph:
+    if d < 1:  # before the bit strings: at d = 0 an empty --conn would pass as one
+        raise ValueError("cubelike dimension must be >= 1")
     elements = []
     for tok in conn.split(","):
         tok = tok.strip()
@@ -284,9 +281,12 @@ def _cubelike(d: int, conn: str) -> SignedGraph:
     return construct.cubelike(CubelikeSpec(d, tuple(elements)))
 
 
-# family -> (its flags in check order, and the builder of their values); a flag
-# given as (flag, convert) is converted as soon as it is checked, so a bad --conn
-# is reported before a missing --n.  Builders look the library up per call.
+# construct's value flags in parser order: the first one a family does not take is reported
+_CONSTRUCT_FLAGS = ("n", "m", "d", "parts", "conn", "neg", "pos", "cross")
+
+# family -> (the flags it takes, in check order, and the builder of their values);
+# a flag given as (flag, convert) is converted as soon as it is checked, so a bad
+# --conn is reported before a missing --n.  Builders look the library up per call.
 _FAMILIES = {
     "complete": (["n"], lambda n: construct.complete(n)),
     "cycle": (["n"], lambda n: construct.cycle(n)),
@@ -300,7 +300,7 @@ _FAMILIES = {
     "cubelike": (["d", "conn"], _cubelike),
     "join": ([("neg", lambda text: parse_graph_atom(text)),
               ("pos", lambda text: parse_graph_atom(text)), "cross"],
-             lambda neg, pos, cross: signed_join(neg, pos, -1, cross)),
+             lambda neg, pos, cross: signed_join(neg, pos, -1, cross or 1)),
 }
 
 
@@ -310,14 +310,20 @@ def cmd_construct(args: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown family {args.family!r}; choose one of: {', '.join(_FAMILIES)}")
     flags, build = _FAMILIES[family]
+    flags = dict((flag, None) if isinstance(flag, str) else flag for flag in flags)
+    for flag in _CONSTRUCT_FLAGS:
+        if flag not in flags and getattr(args, flag) is not None:
+            raise UsageError(f"--family {family} does not take --{flag}")
     values = []
-    try:
-        for flag in flags:
-            flag, convert = (flag, None) if isinstance(flag, str) else flag
-            value = getattr(args, flag)
-            if value is None:
-                raise UsageError(f"--family {family} requires --{flag}")
+    for flag, convert in flags.items():
+        value = getattr(args, flag)
+        if value is None and flag != "cross":  # join's --cross defaults to +1
+            raise UsageError(f"--family {family} requires --{flag}")
+        try:
             values.append(value if convert is None else convert(value))
+        except ValueError as exc:
+            raise UsageError(f"bad --{flag} {value!r}: {exc}") from None
+    try:
         graph = build(*values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -334,10 +340,7 @@ def _walk_graph(args: argparse.Namespace):
 
 def cmd_walk(args: argparse.Namespace) -> int:
     graph, t = _walk_graph(args), parse_time_expression(args.time)
-    try:
-        amp = amplitude(graph, args.src, args.dst, t)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    amp = amplitude(graph, args.src, args.dst, t)
     columns = [[t], [amp.re], [amp.im], [amp.fidelity]]
     if args.format == "json":
         values = map(_json_number, (t, amp.re, amp.im, amp.fidelity, amp.phase))
@@ -356,10 +359,7 @@ def cmd_pst_search(args: argparse.Namespace) -> int:
         raise UsageError("--t-max must be positive")
     if not math.isfinite(args.tol):
         raise UsageError(f"--tol must be finite, not {args.tol}")
-    try:
-        verdicts = pst_search(graph, args.src, args.dst, t_max, tol=args.tol)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    verdicts = pst_search(graph, args.src, args.dst, t_max, tol=args.tol)
     columns = [[getattr(v, name) for v in verdicts]
                for name in ("time", "fidelity", "phase", "kind")]
     _emit_table(args, ("t", "fidelity", "phase", "kind"), columns, text_sep=" ")
@@ -374,10 +374,7 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise UsageError("--points must be at least 2")
     ts = np.linspace(0.0, t_max, args.points)
-    try:
-        amps = amplitude_series(graph, args.src, args.dst, ts)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    amps = amplitude_series(graph, args.src, args.dst, ts)
     # abs(z) ** 2 bit for bit: abs is hypot, and ** 2 of a scalar is pow,
     # which float_power calls and an array's ** 2 (x * x) is not
     fidelity = np.float_power(np.hypot(amps.real, amps.imag), 2)
@@ -387,7 +384,9 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
 
 def cmd_quotient(args: argparse.Namespace) -> int:
     graph = load_signed_graph(args.graph)
-    if args.partition:  # the parser keeps --cells out
+    if args.cells:
+        partition = partition_from_cells(parse_cells(args.cells), n=graph.n)
+    elif args.partition:
         try:
             partition = read_partition(args.partition, n=graph.n)
         except OSError as exc:
@@ -396,14 +395,9 @@ def cmd_quotient(args: argparse.Namespace) -> int:
             ) from None
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    try:
-        if args.cells:
-            partition = partition_from_cells(parse_cells(args.cells), n=graph.n)
-        elif not args.partition:
-            partition = coarsest_equitable(graph)
-        quot = quotient(graph, partition)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    else:
+        partition = coarsest_equitable(graph)
+    quot = quotient(graph, partition)
     if args.format == "json":
         emit_json(
             args,
@@ -426,10 +420,7 @@ def cmd_power(args: argparse.Namespace) -> int:
                         "symmetric": (symmetric_power, k_subsets),
                         "boson": (boson_quotient, multiset_states)}[args.command]
     graph = load_signed_graph(args.graph)
-    try:
-        power = builder(graph, args.k)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    power = builder(graph, args.k)
     labels = labeler(graph.n, args.k)
     emit_graph(args, power, labels)
     return 0
@@ -445,10 +436,7 @@ def cmd_double_cover(args: argparse.Namespace) -> int:
 
 def cmd_balance(args: argparse.Namespace) -> int:
     graph = load_signed_graph(args.graph)
-    try:
-        verdict = balance_verdict(graph)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    verdict = balance_verdict(graph)
     witness = None if verdict.witness is None else verdict.witness.tolist()
     if args.format == "json":
         emit_json(
@@ -552,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(circulant: integers; cubelike: bit strings)")
     p.add_argument("--neg", help=f"join: negative block, one of {_ATOM_HELP}")
     p.add_argument("--pos", help=f"join: positive block, one of {_ATOM_HELP}")
-    p.add_argument("--cross", type=int, choices=(1, -1), default=1,
+    p.add_argument("--cross", type=int, choices=(1, -1),
                    help="join: sign of the cross edges")
     p.set_defaults(handler="cmd_construct")
 
@@ -624,7 +612,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except ValueError as exc:  # a library refusal: the input is outside its domain
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

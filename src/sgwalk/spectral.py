@@ -50,7 +50,6 @@ __all__ = [
     "JoinPstCondition",
     "join_pst_condition",
     "unsigned_k2_join_condition",
-    "decomposition_transfer",
 ]
 
 DEFAULT_TOL = 1e-9            # fidelity slack for PST / periodicity verdicts
@@ -529,28 +528,3 @@ def unsigned_k2_join_condition(k: int, n: int) -> JoinPstCondition:
         return JoinPstCondition(False, Delta, None)
     holds = (k - 1) % 8 == 0 and rounded % 8 == 0
     return JoinPstCondition(holds, Delta, 1 if holds else None)
-
-
-def decomposition_transfer(g: SignedGraph, h: SignedGraph, a: int, b: int,
-                           t: float) -> WalkAmplitude:
-    """Amplitude of the union G^+ u H^- computed factor by factor.
-
-    Valid when A(G) and A(H) commute exactly (integer check): then
-    exp(-it(A(G) - A(H))) = exp(-itA(G)) exp(+itA(H)) and the amplitude
-    is evaluated through the two small spectra instead of the union's.
-    """
-    ag, ah = g.adjacency, h.adjacency
-    if ag.shape != ah.shape:
-        raise ValueError("graphs must share a vertex set")
-    if not np.array_equal(ag @ ah, ah @ ag):
-        raise ValueError("adjacency matrices do not commute")
-    spec_g, spec_h = eig_sym(g), eig_sym(h)
-    a = _check_vertex("a", a, g.n)
-    b = _check_vertex("b", b, g.n)
-    _check_phase_range(spec_g, float(t))
-    _check_phase_range(spec_h, float(t))
-    vh, wh = spec_h.eigenvectors, spec_h.eigenvalues
-    psi = (vh * np.exp(+1j * wh * float(t))) @ vh[a, :]
-    vg, wg = spec_g.eigenvectors, spec_g.eigenvalues
-    z = complex((vg[b, :] * np.exp(-1j * wg * float(t))) @ (vg.T @ psi))
-    return WalkAmplitude.from_complex(z, float(t))

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -140,6 +141,19 @@ def test_handlers_are_looked_up_when_called(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "walk", write_k2(tmp_path), "--from", "0", "--to", "1",
                        "--time", "pi/2")
     assert code == 0 and out == "" and seen == ["pi/2"]
+
+
+def test_a_library_value_error_exits_3_under_every_command(capsys, monkeypatch, tmp_path):
+    # main alone maps a ValueError to exit 3; no handler needs its own wrapper
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    k2 = write_k2(tmp_path)
+    for name, argv in (("double_cover", ["double-cover", k2]),
+                       ("run_all_scenarios", ["verify-all"]),
+                       ("amplitude", ["walk", k2, "--from", "0", "--to", "1", "--time", "pi"])):
+        monkeypatch.setattr(cli, name, boom)
+        assert run(capsys, *argv) == (3, "", "error: boom\n")
 
 
 def test_walk_formats(capsys, tmp_path):
@@ -347,6 +361,18 @@ def test_construct_join_matches_library(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_construct_join_cross_defaults_to_plus_one(capsys):
+    edges = {}
+    for cross in ([], ["--cross", "1"], ["--cross", "-1"]):
+        code, out, err = run(capsys, "construct", "--family", "join", "--neg", "k2",
+                             "--pos", "c4", "--format", "json", *cross)
+        assert (code, err) == (0, "")
+        edges[tuple(cross)] = json.loads(out)["edges"]
+    assert edges[()] == edges[("--cross", "1")] != edges[("--cross", "-1")]
+    want = sgwalk.signed_join(parse_graph_atom("k2"), parse_graph_atom("c4"), -1, -1)
+    assert edges[("--cross", "-1")] == [list(edge) for edge in core.graph_edges(want)]
+
+
 FAMILIES = ("complete, cycle, path, hypercube, cocktail-party, complete-bipartite, "
             "petersen, circulant, cubelike, join")
 
@@ -368,10 +394,14 @@ def test_construct_usage_errors(capsys):
         (["complete-bipartite", "--m", "3"], "--family complete-bipartite requires --n"),
         (["circulant", "--n", "5"], "--family circulant requires --conn"),
         (["circulant", "--conn", "1,2"], "--family circulant requires --n"),
-        # --conn is converted as soon as it is checked: its fault comes first
-        (["circulant", "--conn", "1,x"], "invalid literal for int() with base 10: 'x'"),
+        # --conn is converted as soon as it is checked: its fault comes first,
+        # under the flag's name
+        (["circulant", "--conn", "1,x"],
+         "bad --conn '1,x': invalid literal for int() with base 10: 'x'"),
         (["circulant", "--conn", "1,x", "--n", "5"],
-         "invalid literal for int() with base 10: 'x'"),
+         "bad --conn '1,x': invalid literal for int() with base 10: 'x'"),
+        (["circulant", "--n", "5", "--conn", ""],
+         "bad --conn '': invalid literal for int() with base 10: ''"),
         (["circulant", "--conn", "3", "--n", "5"], "circulant connections must lie in 1..n//2"),
         (["cubelike", "--conn", "01"], "--family cubelike requires --d"),
         (["cubelike", "--d", "3"], "--family cubelike requires --conn"),
@@ -382,6 +412,8 @@ def test_construct_usage_errors(capsys):
         (["cubelike", "--d", "2", "--conn", "01,,10"],
          "connection '' must be a 2-bit string of 0s and 1s"),
         (["cubelike", "--d", "2", "--conn", "00"], "connection elements must lie in 1..3"),
+        # at d = 0 the empty string has d bits; the dimension is the fault
+        (["cubelike", "--d", "0", "--conn", ""], "cubelike dimension must be >= 1"),
         (["join", "--pos", "k4"], "--family join requires --neg"),
         (["join", "--neg", "z1"], f"unknown graph name 'z1'; {atoms}"),
         (["join", "--neg", "z1", "--pos", "k4"], f"unknown graph name 'z1'; {atoms}"),
@@ -389,12 +421,23 @@ def test_construct_usage_errors(capsys):
         (["join", "--neg", "k2", "--pos", "kx"],
          "bad graph name 'kx': invalid literal for int() with base 10: 'x'"),
         (["cycle", "--n", "2"], "cycle needs n >= 3"),
+        # a flag the family does not take is refused, the first in parser order,
+        # before any missing flag
+        (["complete", "--n", "3", "--d", "9"], "--family complete does not take --d"),
+        (["petersen", "--n", "3"], "--family petersen does not take --n"),
+        (["cycle", "--n", "4", "--cross", "1"], "--family cycle does not take --cross"),
+        (["circulant", "--cross", "-1", "--m", "2"], "--family circulant does not take --m"),
+        (["hypercube", "--pos", "k4"], "--family hypercube does not take --pos"),
     ]
     for extra, message in cases:
         assert run(capsys, "construct", "--family", *extra) == (2, "", f"error: {message}\n")
     with pytest.raises(SystemExit):
         main(["construct", "--help"])
-    assert FAMILIES in " ".join(capsys.readouterr().out.split())
+    help_text = capsys.readouterr().out
+    assert FAMILIES in " ".join(help_text.split())
+    # extra flags are reported in the order the usage line lists them
+    usage_flags = re.findall(r"--([a-z]+)", help_text.split("\n\n")[0])
+    assert usage_flags == ["format", "out", "family", *cli._CONSTRUCT_FLAGS]
 
 
 def test_exit_codes_for_walk(capsys, tmp_path):

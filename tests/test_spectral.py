@@ -14,19 +14,15 @@ from hypothesis import strategies as st
 
 from sgwalk import spectral
 from sgwalk import (
-    MULTIGRAPH,
-    CubelikeSpec,
     WalkAmplitude,
     WeightedGraph,
     adjacency_matrix,
-    cubelike,
     amplitude,
     amplitude_series,
     build_signed_graph,
     complete,
     complete_bipartite,
     cycle,
-    decomposition_transfer,
     eig_sym,
     from_net_matrix,
     hypercube,
@@ -35,14 +31,12 @@ from sgwalk import (
     is_pst,
     join_pst_condition,
     join_spectral_data,
-    path,
     petersen,
     propagator,
     pst_search,
     random_regular,
     signed_join,
     signed_join_amplitude,
-    signed_union,
     switch,
     unsigned_k2_join_condition,
 )
@@ -474,18 +468,6 @@ def test_join_conditions_are_exact_integer_tests():
     assert hit.holds and hit.branch == 1 and hit.Delta == float(m)
     # an odd root gives a half-integer Delta, which is not an integer
     assert not join_pst_condition(1, 0, 1, 2, 1).holds  # sqrt(1 + 8) / 2 = 1.5
-
-
-def test_decomposition_transfer_matches_direct():
-    pos = hypercube(3)
-    neg = cubelike(CubelikeSpec(3, (1, 2, 4, 7)))
-    union = signed_union(pos, neg, -1, mode=MULTIGRAPH)
-    for t in (0.3, math.pi / 2, 1.7):
-        direct = amplitude(union, 1, 6, t)
-        split = decomposition_transfer(pos, neg, 1, 6, t)
-        assert abs(direct.value - split.value) < 1e-10
-    with pytest.raises(ValueError):
-        decomposition_transfer(cycle(4), path(4), 0, 1, 1.0)  # not commuting
 
 
 def test_weighted_graph_walks():
