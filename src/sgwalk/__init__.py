@@ -4,118 +4,15 @@ Dense, desk-scale toolkit for building signed graphs (joins, products,
 cubelike graphs, double covers), decomposing their spectra, verifying
 perfect state transfer and periodicity, taking equitable quotients, and
 lifting walks to many-particle powers.  The ``sgwalk`` command exposes
-the same operations plus a scenario verification suite.
+the same operations plus a scenario verification suite.  The package
+exports exactly the names in its modules' ``__all__`` lists.
 """
 
-from .core import (
-    MULTIGRAPH,
-    SIMPLE,
-    BalanceVerdict,
-    SignedGraph,
-    WeightedGraph,
-    balance_verdict,
-    build_signed_graph,
-    format_edge_list,
-    from_net_matrix,
-    graph_edges,
-    is_connected,
-    negative_part,
-    positive_part,
-    read_signed_graph,
-    read_weighted_graph,
-    signed_union,
-    switch,
-    underlying,
-    write_edge_list,
-)
-from .construct import (
-    CubelikeSpec,
-    LayeredVertex,
-    RegularGraphStats,
-    antipodal_pairs,
-    cartesian_product,
-    circulant,
-    cocktail_party,
-    complement,
-    complete,
-    complete_bipartite,
-    cover_index,
-    cover_vertex,
-    cubelike,
-    cycle,
-    double_cover,
-    hypercube,
-    path,
-    permutation_graph,
-    petersen,
-    random_regular,
-    regular_stats,
-    signed_join,
-)
-from .spectral import (
-    DEFAULT_GRID_STEP,
-    DEFAULT_TOL,
-    JoinPstCondition,
-    JoinSpectralData,
-    PstVerdict,
-    Spectrum,
-    WalkAmplitude,
-    adjacency_matrix,
-    amplitude,
-    amplitude_series,
-    eig_sym,
-    is_periodic,
-    is_periodic_at,
-    is_pst,
-    join_pst_condition,
-    join_spectral_data,
-    propagator,
-    pst_search,
-    signed_join_amplitude,
-    unsigned_k2_join_condition,
-)
-from .quotient import (
-    EquitableProfile,
-    Partition,
-    QuotientGraph,
-    TransferCheck,
-    coarsest_equitable,
-    discrete_partition,
-    is_equitable,
-    normalized_partition_matrix,
-    partition_from_cell_of,
-    partition_from_cells,
-    quotient,
-    quotient_transfer_check,
-    read_partition,
-    single_cell_partition,
-    write_partition,
-)
-from .multiparticle import (
-    antisymmetrizer,
-    boson_formula_comparison,
-    boson_quotient,
-    boson_quotient_oracle,
-    cartesian_power_matrix,
-    exterior_power,
-    exterior_power_oracle,
-    fermion_pst_lift,
-    k_subsets,
-    multiset_rank,
-    multiset_states,
-    subset_rank,
-    subset_unrank,
-    symmetric_power,
-    symmetrizer,
-)
-from .scenarios import (
-    REPORT_SCHEMA,
-    SCENARIO_IDS,
-    Claim,
-    ScenarioReport,
-    report_to_dict,
-    run_all_scenarios,
-    run_scenario,
-)
+from .core import *
+from .construct import *
+from .spectral import *
+from .quotient import *
+from .multiparticle import *
+from .scenarios import *
 
 __version__ = "0.1.0"

@@ -54,7 +54,7 @@ from .scenarios import (
     run_all_scenarios,
     run_scenario,
 )
-from .spectral import DEFAULT_TOL, amplitude, amplitude_series, pst_search
+from .spectral import DEFAULT_TOL, _check_vertex, amplitude, amplitude_series, pst_search
 
 
 class UsageError(Exception):
@@ -160,7 +160,10 @@ def load_graph(path: str):
         try:
             return read_weighted_graph(path)
         except (OSError, ValueError) as exc:
-            raise UsageError(f"{signed_error}; as a weighted file: {exc}") from None
+            message = str(signed_error)
+            if str(exc) != message:  # a reason both readers give is stated once
+                message += f"; as a weighted file: {exc}"
+            raise UsageError(message) from None
 
 
 def load_signed_graph(path: str) -> SignedGraph:
@@ -186,11 +189,6 @@ def parse_cells(text: str):
     return cells
 
 
-def require_vertex(graph, label: str, v: int) -> None:
-    if not 0 <= v < graph.n:
-        raise ValueError(f"vertex {label}={v} out of range for {graph.n} vertices")
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -201,8 +199,9 @@ def emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
         try:
             Path(args.out).write_text(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            reason = getattr(exc, "strerror", None) or exc
+            raise UsageError(f"cannot write {args.out}: {reason}") from None
     else:
         sys.stdout.write(text)
 
@@ -333,8 +332,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def _walk_graph(args: argparse.Namespace):
     graph = load_graph(args.graph)
-    require_vertex(graph, "from", args.src)
-    require_vertex(graph, "to", args.dst)
+    _check_vertex("from", args.src, graph.n)
+    _check_vertex("to", args.dst, graph.n)
     return graph
 
 

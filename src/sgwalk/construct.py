@@ -17,6 +17,7 @@ from .core import (
     MULTIGRAPH,
     SIMPLE,
     SignedGraph,
+    _require_unsigned,
     build_signed_graph,
     from_net_matrix,
 )
@@ -123,8 +124,7 @@ def circulant(n: int, connections: Iterable[int]) -> SignedGraph:
 
 def complement(g: SignedGraph) -> SignedGraph:
     """Complement of an all-positive simple graph."""
-    if g.mode != SIMPLE or g.neg.any():
-        raise ValueError("complement is defined for all-positive simple graphs")
+    _require_unsigned(g, "complement")
     net = np.ones((g.n, g.n), dtype=np.int64) - np.eye(g.n, dtype=np.int64) - g.pos
     return from_net_matrix(net)
 
@@ -165,8 +165,7 @@ def signed_join(g1: SignedGraph, g2: SignedGraph, sign_g1: int,
     second keeps g2 positive, and every cross edge gets ``sign_cross``.
     """
     for g in (g1, g2):
-        if g.mode != SIMPLE or g.neg.any():
-            raise ValueError("signed_join expects all-positive simple inputs")
+        _require_unsigned(g, "signed_join")
     if sign_g1 not in (1, -1) or sign_cross not in (1, -1):
         raise ValueError("block signs must be +1 or -1")
     n1, n2 = g1.n, g2.n

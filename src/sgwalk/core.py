@@ -265,6 +265,11 @@ def _require_simple(g: SignedGraph, op: str) -> None:
         raise ValueError(f"{op} requires simple mode (multigraph decomposition is ambiguous)")
 
 
+def _require_unsigned(g: SignedGraph, op: str) -> None:
+    if g.mode != SIMPLE or g.neg.any():
+        raise ValueError(f"{op} expects an all-positive simple graph")
+
+
 def positive_part(g: SignedGraph) -> SignedGraph:
     """Spanning subgraph of the +1 edges."""
     _require_simple(g, "positive_part")

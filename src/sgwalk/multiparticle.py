@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .construct import _kronecker_sum
-from .core import SIMPLE, SignedGraph, WeightedGraph, from_net_matrix
+from .core import SignedGraph, WeightedGraph, _require_unsigned, from_net_matrix
 from .spectral import PstVerdict, is_pst
 
 __all__ = [
@@ -154,11 +154,6 @@ def symmetrizer(n: int, k: int) -> np.ndarray:
     mat = np.zeros((n ** k, count))
     mat[rows, cols] = 1.0
     return mat / np.sqrt(mat.sum(axis=0))  # a column sum is its orbit's size
-
-
-def _require_unsigned(g: SignedGraph, op: str) -> None:
-    if g.mode != SIMPLE or g.neg.any():
-        raise ValueError(f"{op} expects an all-positive simple graph")
 
 
 def cartesian_power_matrix(g: SignedGraph, k: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import SignedGraph, WeightedGraph
-from .spectral import WalkAmplitude, amplitude
+from .spectral import WalkAmplitude, _check_vertex, amplitude
 
 __all__ = [
     "Partition",
@@ -280,6 +280,7 @@ def quotient_transfer_check(g: SignedGraph, p: Partition, a: int, b: int,
     two amplitudes agree exactly and the check simply confirms the
     numerics to ``tol``.
     """
+    a, b = _check_vertex("a", a, g.n), _check_vertex("b", b, g.n)
     ca, cb = int(p.cell_of[a]), int(p.cell_of[b])
     if len(p.cells[ca]) != 1 or len(p.cells[cb]) != 1:
         raise ValueError("transfer endpoints must be singleton cells")

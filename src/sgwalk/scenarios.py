@@ -84,6 +84,16 @@ from .multiparticle import (
     symmetric_power,
 )
 
+__all__ = [
+    "Claim",
+    "ScenarioReport",
+    "report_to_dict",
+    "SCENARIO_IDS",
+    "REPORT_SCHEMA",
+    "run_scenario",
+    "run_all_scenarios",
+]
+
 FIDELITY_TOL = DEFAULT_TOL          # 1e-9 on fidelities
 AMPLITUDE_TOL = 1e-10               # on amplitude comparisons
 

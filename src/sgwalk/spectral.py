@@ -34,6 +34,7 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_GRID_STEP",
     "Spectrum",
+    "adjacency_matrix",
     "eig_sym",
     "WalkAmplitude",
     "amplitude",

@@ -458,6 +458,26 @@ def test_exit_codes_for_walk(capsys, tmp_path):
     assert code == 2
 
 
+def test_a_reason_both_readers_give_is_stated_once(capsys, tmp_path):
+    graph = tmp_path / "graph.txt"
+    walk = ["--from", "0", "--to", "1", "--time", "pi"]
+    for text, reason in (("not a graph\n", ":1: expected header 'n <count>'"),
+                         ("n 3\n0 1\n", ":2: expected 'u v s'")):
+        graph.write_text(text)
+        assert run(capsys, "walk", str(graph), *walk) == (2, "", f"error: {graph}{reason}\n")
+    graph.write_bytes(b"n 2\n0 1 \xff\n")  # not UTF-8
+    with pytest.raises(ValueError) as info:
+        read_signed_graph(str(graph))
+    assert "codec can't decode" in str(info.value)
+    assert run(capsys, "walk", str(graph), *walk) == (2, "", f"error: {info.value}\n")
+    assert run(capsys, "walk", "a\0b", *walk) == (2, "", "error: embedded null byte\n")
+    # different reasons keep both parts
+    graph.write_text("n 3\n0 1 1\n0 1 1\n2 2 1\n")
+    assert run(capsys, "walk", str(graph), *walk) == (
+        2, "", f"error: self-loop at vertex 2; as a weighted file: "
+               f"{graph}:3: duplicate entry for (0, 1)\n")
+
+
 def test_meaningless_numbers_fail_cleanly(capsys, tmp_path):
     graph = tmp_path / "graph.txt"
     # non-finite or repeated weights are parse errors, named as such
@@ -773,3 +793,10 @@ def test_an_unwritable_out_path_is_a_usage_error(capsys, tmp_path):
     proc = run_capped(*walk, "--out", str(tmp_path / "missing" / "result.txt"))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: cannot write") and "Traceback" not in proc.stderr
+
+
+def test_an_out_path_python_refuses_is_a_usage_error(capsys, tmp_path):
+    walk = ["walk", write_k2(tmp_path), "--from", "0", "--to", "1", "--time", "pi"]
+    for argv in (walk, ["verify-all"]):
+        assert run(capsys, *argv, "--out", "a\0b") == (
+            2, "", "error: cannot write a\0b: embedded null byte\n")

@@ -291,3 +291,15 @@ def test_random_regular_exhaustion_is_unchanged(monkeypatch):
         for seed in range(20):
             assert sampled(random_regular, n, n - 1, seed) == \
                 sampled(reference_with(40), n, n - 1, seed), (n, seed)
+
+
+def test_all_positive_preconditions_share_one_message():
+    negative = build_signed_graph(2, [(0, 1, -1)])
+    parallel = build_signed_graph(2, [(0, 1, 1), (0, 1, 1)], mode=MULTIGRAPH)
+    for g in (negative, parallel):
+        for call, op in ((lambda: complement(g), "complement"),
+                         (lambda: signed_join(g, complete(3), -1, 1), "signed_join"),
+                         (lambda: signed_join(complete(3), g, -1, 1), "signed_join")):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"{op} expects an all-positive simple graph"

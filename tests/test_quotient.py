@@ -143,6 +143,16 @@ def test_quotient_transfer_agreement():
                - amplitude(quot, 0, 1, t).value) < 1e-10
 
 
+def test_quotient_transfer_check_refuses_vertices_out_of_range():
+    g = edge_join()
+    p = partition_from_cells([[0], [1], [2, 3, 4, 5]])
+    # unchecked, a = n would index past cell_of and a = -1 would reach the last cell
+    for a, b, label, v in ((6, 1, "a", 6), (-1, 1, "a", -1), (0, 6, "b", 6)):
+        with pytest.raises(ValueError) as info:
+            quotient_transfer_check(g, p, a, b, 1.0)
+        assert str(info.value) == f"vertex {label}={v} out of range for 6 vertices"
+
+
 def test_coarsest_equitable_cases():
     # one negative edge on a square: degree profile splits the endpoints
     unbalanced = build_signed_graph(
