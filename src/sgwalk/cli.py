@@ -149,12 +149,20 @@ def parse_graph_atom(name: str) -> SignedGraph:
     raise UsageError(f"unknown graph name {name!r}; expected {_ATOM_HELP}")
 
 
+def _read_file(reader, path: str):
+    """``reader(path)``, with an open or decode error naming the file."""
+    if "\0" in path:  # open() refuses it with a bare ValueError, as a parser would
+        raise UsageError(f"cannot read {path}: embedded null byte")
+    try:
+        return reader(path)
+    except (OSError, UnicodeError) as exc:  # UnicodeError: not in the locale's encoding
+        raise UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def load_graph(path: str):
     """Read a graph file, accepting signed (+1/-1) and weighted layouts."""
     try:
-        return read_signed_graph(path)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+        return _read_file(read_signed_graph, path)
     except ValueError as signed_error:
         # either reader's error alone can point at a line the other accepts
         try:
@@ -387,11 +395,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         partition = partition_from_cells(parse_cells(args.cells), n=graph.n)
     elif args.partition:
         try:
-            partition = read_partition(args.partition, n=graph.n)
-        except OSError as exc:
-            raise UsageError(
-                f"cannot read {args.partition}: {exc.strerror or exc}"
-            ) from None
+            partition = _read_file(lambda path: read_partition(path, n=graph.n), args.partition)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     else:

@@ -5,7 +5,10 @@ the spectral decomposition A = sum_a a E_a the transfer amplitude is
 
     <b| U(t) |a> = sum_a exp(-i t a) <b| E_a |a>,
 
-which is how every amplitude here is evaluated.  Perfect state transfer
+evaluated term by term at single times and on uneven time arrays, and on
+a uniform grid from 0 (``np.linspace(0, T, N)``, the PST scan's grid) by
+one chunked kernel that takes cos and sin by angle addition, so memory
+there is O(chunk * n + points) at any grid size.  Perfect state transfer
 (PST) between distinct vertices means the fidelity |<b|U(t)|a>|^2
 reaches 1; periodicity is the same statement on the diagonal.
 
@@ -13,10 +16,10 @@ Eigenproblems are solved by LAPACK (``numpy.linalg.eigh``) under an
 accuracy contract: reconstruction and orthonormality residuals within
 1e-10.  A graph value's spectrum is computed once, on first use, and
 kept until the graph is freed; only raw matrices are decomposed per call.
-The PST search scans a uniform grid chunk by chunk, taking cos and sin by
-angle addition, so its memory does not grow with the horizon; Newton steps
-on the analytic derivative of the fidelity, closed by a probe of adjacent
-floats, refine each peak to a root, so PST times are exact to rounding.
+The PST search scans its uniform grid through the same kernel, so its
+memory does not grow with the horizon; Newton steps on the analytic
+derivative of the fidelity, closed by a probe of adjacent floats, refine
+each peak to a root, so PST times are exact to rounding.
 """
 
 from __future__ import annotations
@@ -199,8 +202,24 @@ def amplitude(graph, a: int, b: int, t: float) -> WalkAmplitude:
 
 
 def amplitude_series(graph, a: int, b: int, times) -> np.ndarray:
-    """Amplitudes <b|U(t)|a> for an array of times (complex ndarray)."""
-    return _transfer(eig_sym(graph), a, b, times)
+    """Amplitudes <b|U(t)|a> for an array of times (complex ndarray).
+
+    Times that form the grid i * T / (N - 1), 0 <= i < N, exactly as
+    ``np.linspace(0, T, N)`` gives them, go through the chunked grid
+    kernel; any other times are evaluated term by term.
+    """
+    spec, times = eig_sym(graph), np.asarray(times)
+    weights = _weights(spec, a, b)
+    _check_phase_range(spec, times)  # before the grid test trips on an inf or a nan
+    steps = len(times) - 1 if times.ndim == 1 else 0
+    if steps < 1 or not (times[:-1] == np.arange(steps) * (times[-1] / steps)).all():
+        return _transfer(spec, a, b, times)
+    out = np.empty(steps + 1, dtype=complex)
+    for i0, cw, sw in _grid_amplitudes(spec.eigenvalues, weights, times[-1] / steps, steps):
+        # 0.0 - sw, not -sw: a zero imaginary part is +0.0, so np.angle of a
+        # negative real amplitude reads pi, not -pi
+        out.real[i0:i0 + len(cw)], out.imag[i0:i0 + len(cw)] = cw, 0.0 - sw
+    return out
 
 
 def propagator(graph, t: float) -> np.ndarray:
@@ -275,11 +294,13 @@ def _fidelity_slope(eigenvalues: np.ndarray, cols: np.ndarray, times) -> tuple:
     return fid, slope, curv
 
 
-def _grid_fidelities(eigenvalues: np.ndarray, weights: np.ndarray, dt: float,
+def _grid_amplitudes(eigenvalues: np.ndarray, weights: np.ndarray, dt: float,
                      steps: int, chunks: slice = slice(None)):
-    """Yield (first index, F) for the chunks of the grid i * dt, 0 <= i <= steps.
+    """Yield (first index, Cw, Sw) for the chunks of the grid i * dt, 0 <= i <= steps.
 
-    With i = b B + j, 0 <= j < B, cos and sin are taken of the inner phases
+    Cw = cos(t (x) lambda) @ w and Sw = sin(t (x) lambda) @ w, so the
+    amplitude is Cw - i Sw and the fidelity (Cw)^2 + (Sw)^2.  With
+    i = b B + j, 0 <= j < B, cos and sin are taken of the inner phases
     j dt lambda once and of each chunk's outer phases b B dt lambda; angle
     addition joins them, Cw = (c_b w) c_j - (s_b w) s_j and Sw = (s_b w) c_j
     + (c_b w) s_j, as one matrix product per chunk.
@@ -292,7 +313,8 @@ def _grid_fidelities(eigenvalues: np.ndarray, weights: np.ndarray, dt: float,
         outer = np.multiply.outer(np.arange(b0, min(b0 + rows, count)) * width * dt, eigenvalues)
         m, prod = len(outer), (np.vstack([np.cos(outer), np.sin(outer)]) * weights) @ inner
         cw, sw = prod[:m, :width] - prod[m:, width:], prod[m:, :width] + prod[:m, width:]
-        yield b0 * width, (cw ** 2 + sw ** 2).ravel()[:steps + 1 - b0 * width]
+        end = steps + 1 - b0 * width
+        yield b0 * width, cw.ravel()[:end], sw.ravel()[:end]
 
 
 def _refine_peaks(eigenvalues: np.ndarray, cols: np.ndarray, lo: np.ndarray,
@@ -374,7 +396,8 @@ def pst_search(graph, a: int, b: int, t_max: float, *,
     # when the curve still rises into it.  Chunks carry their last two
     # fidelities into the next, and a sentinel closes the grid.
     best, tops, found, carry = 0.0, [], [], np.empty(0)
-    for i0, fid in _grid_fidelities(lam, weights, dt, steps):
+    for i0, cw, sw in _grid_amplitudes(lam, weights, dt, steps):
+        fid = cw ** 2 + sw ** 2
         best = max(best, float(fid.max()))
         tops.append(float(fid[1 if i0 == 0 else 0:].max()))
         f = np.concatenate([carry, fid, [-np.inf] if i0 + len(fid) > steps else []])
@@ -395,7 +418,8 @@ def pst_search(graph, a: int, b: int, t_max: float, *,
     else:
         top = max(tops)
         c = next(c for c, m in enumerate(tops) if m >= top - 1e-12)
-        ((i0, fid),) = _grid_fidelities(lam, weights, dt, steps, slice(c, c + 1))
+        ((i0, cw, sw),) = _grid_amplitudes(lam, weights, dt, steps, slice(c, c + 1))
+        fid = cw ** 2 + sw ** 2
         i = i0 + next(i for i in np.flatnonzero(fid >= top - 1e-12) if i0 + i > 0)
         candidates = [t_max if i == steps else i * dt]
 
@@ -403,14 +427,16 @@ def pst_search(graph, a: int, b: int, t_max: float, *,
     for t in np.asarray(candidates).tolist():
         if not peaks or t - peaks[-1] >= 1e-9:
             peaks.append(t)
-    verdicts = [
-        _verdict(a, b, WalkAmplitude.from_complex(z, t), tol)
-        for t, z in zip(peaks, _transfer(spec, a, b, peaks))
-    ]
-    hits = [v for v in verdicts if v.kind != "none"]
+    z = _transfer(spec, a, b, peaks)
+    fid = np.float_power(np.hypot(z.real, z.imag), 2)  # abs(z) ** 2 bit for bit
+    over = np.flatnonzero(fid > 1.0 + 1e-9)  # WalkAmplitude's check, over every peak
+    if len(over):
+        raise ValueError(f"fidelity {fid[over[0]]} exceeds 1")
     # equal peaks differ below the 12 printed decimals: the earliest wins
-    best = max(v.fidelity for v in verdicts)
-    return hits or [next(v for v in verdicts if v.fidelity >= best - 1e-12)]
+    keep = np.flatnonzero(fid >= 1.0 - tol)
+    if not len(keep):
+        keep = np.flatnonzero(fid >= fid.max() - 1e-12)[:1]
+    return [_verdict(a, b, WalkAmplitude.from_complex(z[i], peaks[i]), tol) for i in keep]
 
 
 # ---------------------------------------------------------------------------

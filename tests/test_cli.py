@@ -272,6 +272,24 @@ def test_fidelity_curve(capsys, tmp_path):
     assert float(mid[3]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_fidelity_curve_memory_does_not_grow_with_points_times_n(tmp_path):
+    # 100,001 points on Q6: a complex table of every time against the 64
+    # eigenvalues takes 102 MB; the grid kernel holds one chunk of it, and
+    # the CSV text (6.2 MB) with its blocks sets the peak
+    cube, out = tmp_path / "q6.txt", tmp_path / "curve.csv"
+    sgwalk.write_edge_list(sgwalk.hypercube(6), cube)
+    argv = ["fidelity-curve", str(cube), "--from", "0", "--to", "63", "--t-max", "10*pi",
+            "--points", "100001", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.read_text().splitlines()) == 100_002
+    assert peak < 32e6
+
+
 def reference_table(rows, sep):
     """The per-value loop that the table writer replaces."""
     return "".join(sep.join(x if isinstance(x, str) else fixed(x) for x in row) + "\n"
@@ -469,8 +487,11 @@ def test_a_reason_both_readers_give_is_stated_once(capsys, tmp_path):
     with pytest.raises(ValueError) as info:
         read_signed_graph(str(graph))
     assert "codec can't decode" in str(info.value)
-    assert run(capsys, "walk", str(graph), *walk) == (2, "", f"error: {info.value}\n")
-    assert run(capsys, "walk", "a\0b", *walk) == (2, "", "error: embedded null byte\n")
+    # open and decode errors name the file, as a missing file does
+    assert run(capsys, "walk", str(graph), *walk) == (
+        2, "", f"error: cannot read {graph}: {info.value}\n")
+    assert run(capsys, "walk", "a\0b", *walk) == (
+        2, "", "error: cannot read a\0b: embedded null byte\n")
     # different reasons keep both parts
     graph.write_text("n 3\n0 1 1\n0 1 1\n2 2 1\n")
     assert run(capsys, "walk", str(graph), *walk) == (
@@ -613,6 +634,14 @@ def test_quotient_outputs(capsys, tmp_path):
         main(["quotient", str(target), "--cells", "0;1;2,3,4,5", "--partition", str(partition)])
     assert exit_info.value.code == 2
     assert "not allowed with argument --cells" in capsys.readouterr().err
+    # a partition file that cannot be opened or decoded is named, as a graph file is
+    partition.write_bytes(b"0\n1\n2 3 4 \xff\n")  # not UTF-8
+    with pytest.raises(UnicodeError) as info:
+        sgwalk.read_partition(str(partition), n=6)
+    for path, reason in ((str(partition), info.value), ("a\0b", "embedded null byte"),
+                         (str(tmp_path / "missing.txt"), "No such file or directory")):
+        assert run(capsys, "quotient", str(target), "--partition", path) == (
+            2, "", f"error: cannot read {path}: {reason}\n")
 
 
 def test_power_subcommands(capsys, tmp_path):

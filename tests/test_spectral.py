@@ -171,6 +171,31 @@ def test_amplitude_routes_agree(walk):
     assert abs(propagator(g, t)[b, a] - z) < 1e-12
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(signed_walks(), st.sampled_from([1.0, -1.0]), st.floats(-2.0, 4.0),
+       st.sampled_from([2, 3, 50, 1001, 20001]),
+       st.sampled_from(["offset", "nudged", "single"]))
+def test_amplitude_series_on_a_uniform_grid_matches_per_time_amplitudes(walk, sign, digits,
+                                                                       count, uneven):
+    # np.linspace(0, T, N) goes through the chunked angle-addition kernel;
+    # N = 20001 spans two of its chunks, and |T| runs from 1e-2 to 1e4
+    g, a, b, _ = walk
+    t_max = sign * 10.0 ** digits
+    spec = eig_sym(g)
+    times = np.linspace(0.0, t_max, count)
+    series = amplitude_series(g, a, b, times)
+    picks = np.unique(np.r_[0:count:max(1, count // 200), count - 1])
+    want = np.array([amplitude(g, a, b, t).value for t in times[picks]])
+    scale = 1.0 + abs(t_max) * float(np.abs(spec.eigenvalues).max())
+    assert series.shape == (count,)
+    assert np.abs(series[picks] - want).max() <= 64 * np.finfo(float).eps * scale
+    # any other times array is evaluated term by term, bit for bit as before
+    other = {"offset": times + 0.5, "nudged": times.copy(), "single": times[-1:]}[uneven]
+    if uneven == "nudged":  # one ulp off the grid, short of its last time
+        other[(count - 1) // 2] = np.nextafter(other[(count - 1) // 2], np.inf)
+    assert np.array_equal(amplitude_series(g, a, b, other), spectral._transfer(spec, a, b, other))
+
+
 def test_fidelity_is_switching_invariant():
     rng = np.random.default_rng(41)
     for _ in range(10):
