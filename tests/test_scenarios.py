@@ -1,6 +1,8 @@
-"""Bundled verification scenarios: statuses, schema and determinism."""
+"""Bundled verification scenarios: statuses, schema, determinism and the
+byte-identical reports of ``scenario_reports.json``."""
 
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -76,6 +78,17 @@ def test_reports_are_deterministic_modulo_runtime(reports):
         return json.dumps(out, sort_keys=True)
 
     assert strip(run_all_scenarios()) == strip(reports)
+
+
+def test_reports_match_the_checked_in_golden(reports):
+    # every claim's text and 12-decimal figures, runtimes aside; the golden is
+    # written as `sgwalk verify-all --format json` prints, without runtime_seconds
+    payload = []
+    for report in reports:
+        payload.append(report_to_dict(report))
+        payload[-1].pop("runtime_seconds")
+    golden = Path(__file__).with_name("scenario_reports.json").read_text(encoding="utf-8")
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == golden
 
 
 def test_unknown_scenario_is_rejected():

@@ -1,6 +1,7 @@
 """Eigensolver contract, walk amplitudes, transfer search and join formulas."""
 
 import gc
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from sgwalk import spectral
 from sgwalk import (
+    DEFAULT_TOL,
     WalkAmplitude,
     WeightedGraph,
     adjacency_matrix,
@@ -72,6 +74,95 @@ def test_eigensolver_rejects_non_finite_input():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="non-finite"):
             eig_sym(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 16, 33])
+@pytest.mark.parametrize("count", [1, 7])
+def test_a_stacked_spectrum_is_bitwise_the_per_matrix_one(count, order):
+    rng = np.random.default_rng(order * 10 + count)
+    stack = np.stack([random_signed(rng, order).adjacency.astype(float) for _ in range(count)])
+    spec = eig_sym(stack)
+    assert spec.n == order
+    assert spec.eigenvalues.shape == (count, order)
+    assert spec.eigenvectors.shape == (count, order, order)
+    for i in range(count):
+        alone = eig_sym(stack[i])
+        assert np.array_equal(spec.eigenvalues[i], alone.eigenvalues)
+        assert np.array_equal(spec.eigenvectors[i], alone.eigenvectors)
+    # a single matrix is the stack of one: the same arrays as its row 0
+    single = eig_sym(stack[0])
+    assert single.eigenvalues.shape == (order,) and single.n == order
+    assert np.array_equal(eig_sym(stack[:1]).eigenvectors[0], single.eigenvectors)
+
+
+def test_a_stack_names_the_first_matrix_that_fails():
+    stack = np.zeros((5, 3, 3))
+    stack[3, 0, 1] = stack[3, 1, 0] = math.nan
+    stack[4, 0, 1] = math.inf
+    with pytest.raises(ValueError, match=r"non-finite entries \(stack index 3\)"):
+        eig_sym(stack)
+    stack = np.zeros((5, 3, 3))
+    stack[2, 0, 1] = 1.0
+    with pytest.raises(ValueError, match=r"not symmetric \(stack index 2\)"):
+        eig_sym(stack)
+    stack = np.zeros((3, 3, 3))
+    stack[1] = np.full((3, 3), 1e308) - np.diag([1e308] * 3)
+    with pytest.raises(ValueError, match=r"overflows the float range \(stack index 1\)"):
+        eig_sym(stack)
+    # a single matrix names no index
+    with pytest.raises(ValueError, match=r"not symmetric$"):
+        eig_sym(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def test_eig_sym_refuses_an_empty_matrix_or_stack():
+    for empty in (np.zeros((0, 0)), np.zeros((0, 4, 4)), np.zeros((3, 0, 0))):
+        with pytest.raises(ValueError, match="non-empty"):
+            eig_sym(empty)
+    with pytest.raises(ValueError, match="square"):
+        eig_sym(np.zeros((2, 2, 2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        eig_sym([])
+
+
+def test_a_stacked_spectrum_checks_the_phase_range_row_by_row():
+    # row 1's eigenvalues near 1e200 leave no correct phase digit at t = 1;
+    # row 0 alone is fine at the same time
+    stack = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 1e200], [1e200, 0.0]]])
+    spec = eig_sym(stack)
+    weights = spectral._weights(spec, 0, 1)
+    z = spectral._transfer(spec, weights, [[1.0], [1e-190]])
+    assert z.shape == (2, 1) and abs(abs(z[0, 0]) - abs(math.sin(1.0))) < 1e-15
+    with pytest.raises(ValueError, match=r"no correct digit \(stack index 1\)"):
+        spectral._transfer(spec, weights, [[1.0], [1.0]])
+
+
+def test_the_kernels_take_one_spectrum_row_per_query():
+    # a stacked spectrum pairs query q with row q: the grid scan, the fidelity
+    # slope and the amplitudes of the batch agree with the rows one by one
+    rng = np.random.default_rng(5)
+    stack = eig_sym(np.stack([random_signed(rng, 6).adjacency.astype(float) for _ in range(3)]))
+    rows = [spectral.Spectrum(stack.eigenvalues[q], stack.eigenvectors[q]) for q in range(3)]
+    a, b = [0, 2, 5], [1, 2, 3]
+    weights = spectral._weights(stack, a, b)
+    alone = [spectral._weights(rows[q], a[q], b[q]) for q in range(3)]
+    assert np.array_equal(weights, np.array(alone))
+    grid = list(spectral._grid_amplitudes(stack.eigenvalues, weights, 0.01, 3000))
+    for q in range(3):
+        one = list(spectral._grid_amplitudes(rows[q].eigenvalues, alone[q], 0.01, 3000))
+        for k in (1, 2):  # Cw, then Sw
+            got = np.concatenate([chunk[k][q] for chunk in grid])
+            assert np.abs(got - np.concatenate([chunk[k] for chunk in one])).max() < 1e-13
+    times = rng.uniform(0.0, 5.0, size=7)
+    lam = stack.eigenvalues
+    cols = np.stack([weights, lam * weights, lam * lam * weights], axis=-1)
+    batch = spectral._fidelity_slope(lam, cols, times, [2, 0, 5])
+    for q, part in ((0, slice(0, 2)), (2, slice(2, 7))):
+        one = spectral._fidelity_slope(lam[q], cols[q:q + 1], times[part], [len(times[part])])
+        for got, want in zip(batch, one):
+            assert np.abs(got[part] - want).max() < 1e-13
+    z = spectral._transfer(stack, weights, times[:6].reshape(3, 2))
+    for q in range(3):
+        assert np.array_equal(z[q], spectral._transfer(rows[q], alone[q], times[2 * q:2 * q + 2]))
 
 
 def test_eigensolver_contract_on_q7_without_warnings():
@@ -193,7 +284,20 @@ def test_amplitude_series_on_a_uniform_grid_matches_per_time_amplitudes(walk, si
     other = {"offset": times + 0.5, "nudged": times.copy(), "single": times[-1:]}[uneven]
     if uneven == "nudged":  # one ulp off the grid, short of its last time
         other[(count - 1) // 2] = np.nextafter(other[(count - 1) // 2], np.inf)
-    assert np.array_equal(amplitude_series(g, a, b, other), spectral._transfer(spec, a, b, other))
+    assert np.array_equal(amplitude_series(g, a, b, other),
+                          spectral._transfer(spec, spectral._weights(spec, a, b), other))
+
+
+def test_amplitude_series_returns_the_shape_of_its_times():
+    g = cycle(5)
+    times = np.array([[0.3, 1.1], [2.0, -4.5]])
+    series = amplitude_series(g, 0, 2, times)
+    assert series.shape == (2, 2)
+    want = [[amplitude(g, 0, 2, t).value for t in row] for row in times]
+    assert np.abs(series - want).max() < 1e-14
+    scalar = amplitude_series(g, 0, 2, 1.1)
+    assert scalar.shape == () and abs(scalar - amplitude(g, 0, 2, 1.1).value) < 1e-14
+    assert amplitude_series(g, 0, 2, []).shape == (0,)
 
 
 def test_fidelity_is_switching_invariant():
@@ -250,6 +354,26 @@ def test_square_antipodal_transfer():
     assert not is_periodic(g, 1.0)
 
 
+def test_library_tolerances_must_be_finite():
+    # tol = nan failed every verdict, tol = inf passed every peak
+    for tol in (math.nan, math.inf, -math.inf):
+        for call in (lambda: pst_search(complete(2), 0, 1, math.pi, tol=tol),
+                     lambda: is_pst(cycle(4), 0, 2, math.pi / 2, tol),
+                     lambda: is_periodic_at(cycle(4), 0, math.pi, tol),
+                     lambda: is_periodic(cycle(4), math.pi, tol)):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                call()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(signed_walks(), st.sampled_from([math.pi / 2, math.pi, 2 * math.pi, 1.0]),
+       st.sampled_from([DEFAULT_TOL, 1e-3, 0.5]))
+def test_is_periodic_agrees_with_the_per_vertex_loop(walk, t, tol):
+    g = walk[0]
+    loop = all(is_periodic_at(g, a, t, tol).kind == "periodic" for a in range(g.n))
+    assert is_periodic(g, t, tol) is loop
+
+
 def test_pst_search_finds_the_square_peak():
     hits = pst_search(cycle(4), 0, 2, 4 * math.pi)
     assert hits and all(v.kind == "pst" for v in hits)
@@ -299,7 +423,7 @@ def _scalar_pst_search(graph, a, b, t_max):
     weights = spectral._weights(spec, a, b)
     steps = max(2, int(math.ceil(t_max / spectral.DEFAULT_GRID_STEP)))
     ts = np.linspace(0.0, t_max, steps + 1)
-    fids = np.abs(spectral._transfer(spec, a, b, ts)) ** 2
+    fids = np.abs(spectral._transfer(spec, weights, ts)) ** 2
     lambda_weights = spec.eigenvalues * weights
 
     def fid_slope(t):
@@ -337,7 +461,7 @@ def _scalar_pst_search(graph, a, b, t_max):
             peaks.append(t)
     verdicts = [
         spectral._verdict(a, b, WalkAmplitude.from_complex(z, t), spectral.DEFAULT_TOL)
-        for t, z in zip(peaks, spectral._transfer(spec, a, b, peaks))
+        for t, z in zip(peaks, spectral._transfer(spec, weights, peaks))
     ]
     hits = [v for v in verdicts if v.kind != "none"]
     best = max(v.fidelity for v in verdicts)
@@ -410,6 +534,50 @@ def test_pst_search_refines_in_a_handful_of_kernel_calls(monkeypatch):
     (hit,) = pst_search(hypercube(4), 0, 1, 5 * math.pi)
     # F = cos^6 sin^2 peaks where tan^2 t = 1/3
     assert hit.kind == "none" and f"{hit.time:.12f}" == f"{math.pi / 6:.12f}"
+
+
+def _assert_batch_matches_per_pair_searches(g, pairs, t_max):
+    a, b = np.array(pairs).T
+    batch = spectral._pst_searches(eig_sym(g), a, b, t_max, spectral.DEFAULT_TOL)
+    assert len(batch) == len(pairs)
+    for (u, v), got in zip(pairs, batch):
+        want = pst_search(g, u, v, t_max)
+        assert [(h.kind, h.from_vertex, h.to_vertex) for h in got] == \
+            [(h.kind, h.from_vertex, h.to_vertex) for h in want]
+        assert _printed(got) == _printed(want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(signed_walks(), st.floats(0.0, 6 * math.pi, exclude_min=True), st.integers(1, 12))
+def test_a_batched_pair_search_matches_per_pair_searches(walk, t_max, count):
+    g = walk[0]
+    every = [(u, v) for u in range(g.n) for v in range(g.n)]
+    pairs = [every[i] for i in np.random.default_rng(count).choice(len(every), count)]
+    _assert_batch_matches_per_pair_searches(g, pairs, t_max)
+
+
+@pytest.mark.parametrize("g", [complete(6), complete(8), hypercube(3), cycle(6)],
+                         ids=["K6", "K8", "Q3", "C6"])
+def test_a_batched_pair_search_matches_per_pair_searches_on_tied_curves(g):
+    # every pair at once, the diagonal included, at horizons that put peaks
+    # on grid times and midway between two
+    pairs = [(u, v) for u in range(g.n) for v in range(u, g.n)]
+    for t_max in (math.pi / 2, 1000 * math.pi / 1001, 4 * math.pi):
+        _assert_batch_matches_per_pair_searches(g, pairs, t_max)
+
+
+def test_a_batched_search_makes_no_more_kernel_calls_than_one_pair(monkeypatch):
+    calls = []
+    kernel = spectral._fidelity_slope
+    monkeypatch.setattr(spectral, "_fidelity_slope",
+                        lambda *args: calls.append(len(args[2])) or kernel(*args))
+    k8 = complete(8)
+    pst_search(k8, 0, 1, 4 * math.pi)
+    alone = len(calls)
+    calls.clear()
+    a, b = np.array(list(itertools.combinations(range(8), 2))).T
+    spectral._pst_searches(eig_sym(k8), a, b, 4 * math.pi, spectral.DEFAULT_TOL)
+    assert len(calls) <= max(alone, 10), calls
 
 
 def test_signed_joins_transfer_at_the_paper_times():
