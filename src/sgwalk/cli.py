@@ -19,14 +19,17 @@ import functools
 import json
 import math
 import operator
+import re
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .core import (
     SignedGraph,
     _format_rows,
+    _row_blocks,
     balance_verdict,
     format_edge_list,
     graph_edges,
@@ -223,10 +226,104 @@ def _json_number(x) -> float:
     return round(float(x), 12) + 0.0
 
 
+# "0000" to "9999": the four ASCII bytes of each, read as one uint32 (uint16
+# arithmetic keeps the temporaries small)
+_DIGITS = np.stack([np.arange(10_000, dtype=np.uint16) // 10 ** k % 10 + 48 for k in (3, 2, 1, 0)],
+                   axis=1).astype(np.uint8).view(np.uint32).ravel()
+_POINT = np.frombuffer(b".", np.uint8)
+_DIGIT_LIMIT = 1e16  # the digit route prints integer parts of at most 16 digits
+_DIGIT_MIN_ROWS = 96  # below this, one %-format per table is faster than the digit route
+
+
+def _digit_bytes(values: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` decimal digits of int64 ``values`` in [0, 10**width) as
+    ASCII bytes, along a new last axis."""
+    groups = -(-width // 4)
+    quads = np.empty(values.shape + (groups,), np.int64)
+    for k in range(groups - 1, 0, -1):  # // and - by a scalar are fast where % is not
+        quad = np.floor_divide(values, 10 ** (4 * k), out=quads[..., -1 - k])
+        values = values - quad * 10 ** (4 * k)
+    quads[..., -1] = values
+    return _DIGITS.take(quads).view(np.uint8)[..., 4 * groups - width:]
+
+
+def _fixed_parts(x: np.ndarray) -> tuple:
+    """The integer part and the 12 decimals, as int64, that ``%.12f`` prints for
+    each finite ``|x| < _DIGIT_LIMIT``.
+
+    The decimals are rint((a - floor(a)) * 10**12) of a = |x|.  The subtraction
+    is exact, and the product is rounded once, monotonically, onto a grid that
+    holds every half below 10**12: it lands on the far side of no half, so rint
+    rounds as the exact value does unless the product is a half itself, and
+    ``%`` decides those."""
+    magnitude = np.abs(x)
+    whole = np.floor(magnitude)
+    scaled = (magnitude - whole) * 1e12
+    decimals = np.rint(scaled)
+    ties = np.flatnonzero(np.abs(scaled - decimals) == 0.5).tolist()
+    whole, decimals = whole.astype(np.int64), decimals.astype(np.int64)
+    carry = decimals == 10 ** 12
+    whole += carry
+    decimals -= carry * 10 ** 12
+    for k, tie in zip(ties, magnitude.ravel()[ties].tolist()):
+        whole.flat[k], decimals.flat[k] = map(int, ("%.12f" % tie).split("."))
+    return whole, decimals
+
+
+def _fixed_cells(x: np.ndarray) -> list:
+    """``%.12f`` of each finite ``|x| < _DIGIT_LIMIT`` of the rows of ``x``: for
+    each row, the byte columns of its cells, with NULs where nothing prints:
+    the signs (if a row prints any), the integer parts, the point, the decimals."""
+    whole, decimals = _fixed_parts(x)
+    signs = ((x < 0) & ((whole | decimals) != 0)) * np.uint8(45)  # "-" on a non-zero
+    widths = [len(str(top)) for top in whole.max(axis=1).tolist()]
+    ints = _digit_bytes(whole, max(widths))
+    # leading zeros become NULs; the units digit always prints
+    ints *= np.maximum(whole, 1)[..., None] >= 10 ** np.arange(max(widths) - 1, -1, -1)
+    decimals = _digit_bytes(decimals, 12)
+    cells = []
+    for i, width in enumerate(widths):
+        sign = [signs[i, :, None]] if signs[i].any() else []
+        cells.append(sign + [ints[i, :, -width:], _POINT, decimals[i]])
+    return cells
+
+
+def _digit_rows(pieces, fields, columns) -> Iterator[str]:
+    """Yield the blocks of :func:`_fixed_table`, each rendered as one byte buffer
+    with NULs squeezed out: ``pieces`` are the literal text of a line around its
+    ``fields``."""
+    pieces = [np.frombuffer(piece.encode(), np.uint8) for piece in pieces]
+    for block in _row_blocks(columns):
+        numbers = [column for column, field in zip(block, fields) if field == "%.12f"]
+        cells = iter(_fixed_cells(np.array(numbers, dtype=float)))
+        parts = [pieces[0]]
+        for field, column, piece in zip(fields, block, pieces[1:]):
+            if field == "%s":  # UCS-4 codes, NUL-padded: an ASCII code fits its byte
+                codes = np.asarray(column, dtype=str).view(np.uint32)
+                parts.append(codes.reshape(len(column), -1))
+            else:
+                parts += next(cells)
+            parts.append(piece)
+        ends = np.cumsum([part.shape[-1] for part in parts]).tolist()
+        lines = np.empty((len(block[0]), ends[-1]), np.uint8)
+        for part, start, end in zip(parts, [0] + ends, ends):
+            lines[:, start:end] = part
+        yield lines.tobytes().replace(b"\0", b"").decode()
+
+
 def _fixed_table(row: str, columns) -> str:
     """Lines of ``row`` filled from the columns, each ``%.12f`` field as
     :func:`scenarios.fixed` prints it: both round the exact value to 12 places,
-    and only ``fixed`` drops the sign of a zero."""
+    and only ``fixed`` drops the sign of a zero.  The fields are ``%.12f`` and
+    ``%s`` of ASCII strings.  A table of at least ``_DIGIT_MIN_ROWS`` rows whose
+    numbers are all finite and below ``_DIGIT_LIMIT`` in magnitude is rendered
+    as digit bytes, any other by the %-template."""
+    if len(columns[0]) >= _DIGIT_MIN_ROWS:
+        pieces = re.split(r"(%\.12f|%s)", row + "\n")  # text, field, text, ..., text
+        fields = pieces[1::2]
+        if all((np.abs(np.asarray(column, dtype=float)) < _DIGIT_LIMIT).all()
+               for field, column in zip(fields, columns) if field == "%.12f"):
+            return "".join(_digit_rows(pieces[::2], fields, columns))
     return "".join(block.replace("-0.000000000000", "0.000000000000")
                    for block in _format_rows(row, columns))
 

@@ -441,14 +441,20 @@ def graph_edges(g) -> Iterator[tuple]:
     yield from zip(*(column.tolist() for column in _edge_columns(g)))
 
 
-_BLOCK_ROWS = 16384  # rows per %-template: bounds the Python numbers alive at once
+_BLOCK_ROWS = 16384  # rows per block of text: bounds the values alive at once
+
+
+def _row_blocks(columns) -> Iterator[list]:
+    """The columns cut into blocks of at most ``_BLOCK_ROWS`` rows."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield [c[start:start + _BLOCK_ROWS] for c in columns]
 
 
 def _format_rows(row: str, columns) -> Iterator[str]:
     """Yield the lines ``row % values`` of the columns' rows, each block of
     rows formatted by one %-format of the repeated template."""
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        cells = np.array([c[start:start + _BLOCK_ROWS] for c in columns], dtype=object)
+    for block in _row_blocks(columns):
+        cells = np.array(block, dtype=object)
         yield (row + "\n") * cells.shape[1] % tuple(cells.T.ravel().tolist())
 
 

@@ -299,9 +299,12 @@ def reference_table(rows, sep):
 @st.composite
 def table_values(draw):
     """Floats where 12-place rounding is delicate: next to k / 10^12, exact
-    halves at the 13th place, tiny negatives that round to zero, and
-    magnitudes from 1e-16 to 1e8."""
-    kind = draw(st.integers(0, 3))
+    halves at the 13th place, tiny negatives that round to zero, magnitudes
+    from 1e-16 to 1e8, halves and near-halves behind an integer part, values
+    that round up into the next integer, -0.0 and the largest float inside
+    the digit route's limit."""
+    kind = draw(st.integers(0, 7))
+    sign = draw(st.sampled_from([1.0, -1.0]))
     if kind == 0:
         x = draw(st.integers(-10 ** 14, 10 ** 14)) / 1e12
         return x + draw(st.integers(-3, 3)) * math.ulp(x)
@@ -309,17 +312,31 @@ def table_values(draw):
         return (2 * draw(st.integers(-2 ** 39, 2 ** 39)) + 1) * 2.0 ** -13
     if kind == 2:
         return -draw(st.floats(0.0, 5e-13))
-    return draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1.0, 9.99)) * 10.0 ** draw(
-        st.integers(-16, 8))
+    if kind == 3:
+        return sign * draw(st.floats(1.0, 9.99)) * 10.0 ** draw(st.integers(-16, 8))
+    whole = draw(st.integers(1, 10 ** 6))
+    if kind == 4:  # exact halves at the 13th place after a non-zero integer part
+        return sign * (whole + (2 * draw(st.integers(0, 2 ** 12 - 1)) + 1) * 2.0 ** -13)
+    if kind == 5:  # the float nearest a half at the 13th place: 10^12 x often rounds onto it
+        return sign * (whole % 4 + (2 * draw(st.integers(0, 10 ** 12 - 1)) + 1) * 0.5e-12)
+    if kind == 6:  # 12 places round up into the next integer, or just fail to
+        x = whole - 0.5e-12
+        return sign * (x + draw(st.integers(-4, 4)) * math.ulp(x))
+    # a value at or beyond the limit sends its whole table to the %-template,
+    # so the limit's outside is drawn by test_the_table_route_is_chosen_once_per_table
+    return sign * draw(st.sampled_from([0.0, math.nextafter(cli._DIGIT_LIMIT, 0.0)]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 4).flatmap(lambda k: st.lists(st.tuples(*[table_values()] * k),
                                                      max_size=20).map(lambda rows: (k, rows))),
        st.lists(st.sampled_from(["pst", "none"]), min_size=20, max_size=20),
-       st.sampled_from([",", " "]), st.booleans(), st.sampled_from([1, 3, 16384]))
-def test_table_writer_prints_as_fixed(case, kinds, sep, with_kinds, block):
-    # fidelity-curve rows are float arrays; pst-search rows are lists with a kind
+       st.sampled_from([",", " "]), st.booleans(), st.sampled_from([1, 3, 16384]),
+       st.sampled_from([0, 10 ** 9]))
+def test_table_writer_prints_as_fixed(case, kinds, sep, with_kinds, block, cut):
+    # fidelity-curve rows are float arrays; pst-search rows are lists with a kind;
+    # a cut of 0 sends every table of finite numbers below the limit to the
+    # digit route, and 10**9 every table to the %-template
     width, rows = case
     columns = [np.array([row[j] for row in rows], dtype=float) for j in range(width)]
     template = sep.join(["%.12f"] * width)
@@ -327,8 +344,52 @@ def test_table_writer_prints_as_fixed(case, kinds, sep, with_kinds, block):
         columns = [column.tolist() for column in columns] + [kinds[:len(rows)]]
         rows = [row + (kind,) for row, kind in zip(rows, kinds)]
         template += sep + "%s"
-    with unittest.mock.patch.object(core, "_BLOCK_ROWS", block):
+    with unittest.mock.patch.object(core, "_BLOCK_ROWS", block), \
+            unittest.mock.patch.object(cli, "_DIGIT_MIN_ROWS", cut):
         assert cli._fixed_table(template, columns) == reference_table(rows, sep)
+
+
+def test_the_digit_route_prints_delicate_values_as_fixed(monkeypatch):
+    # 100,000 values of the kinds above, drawn in bulk, in one table of the
+    # digit route: the tables of the property test are short
+    monkeypatch.setattr(cli, "_DIGIT_MIN_ROWS", 0)
+    rng = np.random.default_rng(18)
+    size = 20_000
+    whole = rng.integers(0, 10 ** 6, size).astype(float)
+    near = np.concatenate([
+        rng.integers(-10 ** 14, 10 ** 14, size) / 1e12,
+        whole % 8 + (2 * rng.integers(0, 10 ** 12, size) + 1) * 0.5e-12,
+        whole + 1 - 0.5e-12,
+    ])
+    values = np.concatenate([
+        near + rng.integers(-3, 4, near.size) * np.spacing(near),
+        (2 * rng.integers(-2 ** 39, 2 ** 39, size) + 1) * 2.0 ** -13,
+        rng.uniform(1.0, 9.99, size) * 10.0 ** rng.integers(-16, 16, size),
+    ]) * rng.choice([1.0, -1.0], 5 * size)
+    values[:100] = -rng.uniform(0.0, 5e-13, 100)
+    columns = list(values.reshape(4, -1))
+    text = cli._fixed_table(",".join(["%.12f"] * 4), columns)
+    assert text == reference_table(zip(*columns), ",")
+
+
+def test_the_table_route_is_chosen_once_per_table(monkeypatch):
+    templated = []
+    format_rows = cli._format_rows
+    monkeypatch.setattr(cli, "_format_rows",
+                        lambda row, columns: templated.append(len(columns[0]))
+                        or format_rows(row, columns))
+    rows = cli._DIGIT_MIN_ROWS
+    times = np.linspace(0.0, 10.0, rows)
+    for column, routed in [(times, []),  # numbers and a kind: digits
+                           (times[:-1], [rows - 1]),  # too short: the template
+                           (np.append(times[:-1], cli._DIGIT_LIMIT), [rows]),
+                           (np.append(times[:-1], -cli._DIGIT_LIMIT), [rows]),
+                           (np.append(times[:-1], 1e300), [rows]),
+                           (np.append(times[:-1], math.nan), [rows])]:
+        templated.clear()
+        text = cli._fixed_table("%.12f %s", [column, ["pst"] * len(column)])
+        assert templated == routed
+        assert text == reference_table(zip(column, ["pst"] * len(column)), " ")
 
 
 def test_table_writer_memory_is_bounded_by_its_output():
@@ -535,6 +596,33 @@ def test_meaningless_numbers_fail_cleanly(capsys, tmp_path):
                  ["fidelity-curve", k2, "--t-max", "1e300"]):
         code, out, err = run(capsys, *argv, "--from", "0", "--to", "1")
         assert (code, out) == (3, "") and "no correct digit" in err
+
+
+@pytest.mark.parametrize("cut", [None, 0])
+def test_times_beyond_the_digit_limit_print_every_digit(capsys, monkeypatch, tmp_path, cut):
+    # with no edges every eigenvalue is 0, so no phase is out of range and a
+    # time of 1e300 prints all its 301 integer digits, through the %-template
+    # whatever the table's size
+    if cut is not None:
+        monkeypatch.setattr(cli, "_DIGIT_MIN_ROWS", cut)
+    graph = tmp_path / "empty.txt"
+    graph.write_text("n 2\n")
+    code, out, err = run(capsys, "fidelity-curve", str(graph), "--from", "0", "--to", "0",
+                         "--t-max", "1e300", "--points", "3")
+    assert (code, err) == (0, "")
+    half = ("500000000000000026252380127602210124352234290554079577457927057755901228994"
+            "454097893185687540223932021852221916441939088471261617680215287822396092393"
+            "353491424193600463287901868915116897394045029684476617485399972540559519483"
+            "820440037326371390071247289629394410028421419057834736098193432729700270080")  # 5e299
+    assert len(half) == 300 and len(f"{1e300:.0f}") == 301
+    assert out == ("t,re,im,fidelity\n"
+                   "0.000000000000,1.000000000000,0.000000000000,1.000000000000\n"
+                   f"{half}.000000000000,1.000000000000,0.000000000000,1.000000000000\n"
+                   f"{1e300:.12f},1.000000000000,0.000000000000,1.000000000000\n")
+    code, out, err = run(capsys, "walk", str(graph), "--from", "0", "--to", "1",
+                         "--format", "csv", "--time", "1e300")
+    assert (code, err) == (0, "")
+    assert out == f"t,re,im,fidelity\n{1e300:.12f},0.000000000000,0.000000000000,0.000000000000\n"
 
 
 def test_tol_is_a_pst_search_flag_only(capsys, tmp_path):
