@@ -29,12 +29,11 @@ import numpy as np
 from .core import (
     SignedGraph,
     _format_rows,
+    _read_graph,
     _row_blocks,
     balance_verdict,
     format_edge_list,
     graph_edges,
-    read_signed_graph,
-    read_weighted_graph,
 )
 from . import construct
 from .construct import CubelikeSpec, cover_vertex, double_cover, signed_join
@@ -153,28 +152,21 @@ def parse_graph_atom(name: str) -> SignedGraph:
 
 
 def _read_file(reader, path: str):
-    """``reader(path)``, with an open or decode error naming the file."""
+    """``reader(path)``; an open or decode error names the file, and any other
+    ValueError of the reader (a parse error) is a usage error too."""
     if "\0" in path:  # open() refuses it with a bare ValueError, as a parser would
         raise UsageError(f"cannot read {path}: embedded null byte")
     try:
         return reader(path)
     except (OSError, UnicodeError) as exc:  # UnicodeError: not in the locale's encoding
         raise UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def load_graph(path: str):
-    """Read a graph file, accepting signed (+1/-1) and weighted layouts."""
-    try:
-        return _read_file(read_signed_graph, path)
-    except ValueError as signed_error:
-        # either reader's error alone can point at a line the other accepts
-        try:
-            return read_weighted_graph(path)
-        except (OSError, ValueError) as exc:
-            message = str(signed_error)
-            if str(exc) != message:  # a reason both readers give is stated once
-                message += f"; as a weighted file: {exc}"
-            raise UsageError(message) from None
+    """Read a graph file: signed when every edge is +1/-1 with no loop, else weighted."""
+    return _read_file(_read_graph, path)
 
 
 def load_signed_graph(path: str) -> SignedGraph:
@@ -491,10 +483,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     if args.cells:
         partition = partition_from_cells(parse_cells(args.cells), n=graph.n)
     elif args.partition:
-        try:
-            partition = _read_file(lambda path: read_partition(path, n=graph.n), args.partition)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        partition = _read_file(lambda path: read_partition(path, n=graph.n), args.partition)
     else:
         partition = coarsest_equitable(graph)
     quot = quotient(graph, partition)

@@ -512,17 +512,25 @@ _NUMBER = "(?:0|[1-9][0-9]{0,17})"
 _SIGNED_FILE = re.compile(f"n [1-9][0-9]{{0,17}}\n(?:{_NUMBER} {_NUMBER} (?:\\+1|1|-1)\n)*")
 
 
-def read_signed_graph(path, mode: Optional[str] = None) -> SignedGraph:
-    """Read a signed edge list.  ``mode=None`` selects simple mode unless
-    the file contains parallel edges."""
+def _edge_lines(path) -> tuple:
+    """The name, the vertex count and the edge lines of an edge-list file,
+    decoded and tokenised once.  A file in the signed writer's own form gives
+    its lines as one int64 (m, 3) array of u, v, sign; any other file gives
+    (line number, u, v, third token) tuples from the per-line loop, which
+    reports the first bad line."""
     source = str(path)
     text = Path(path).read_text()
     if _SIGNED_FILE.fullmatch(text):  # no line can be bad: one tokenisation
         tokens = text.split()
         n = _vertex_count(tokens[1], source, 1)
-        edges = np.array(tokens[2:], dtype=np.int64).reshape(-1, 3)
-    else:  # the per-line loop reports the first bad line
-        n, triples = _parse_edge_lines(text, source)
+        return source, n, np.array(tokens[2:], dtype=np.int64).reshape(-1, 3)
+    return (source, *_parse_edge_lines(text, source))
+
+
+def _signed_graph(source: str, n: int, triples, mode: Optional[str]) -> SignedGraph:
+    if isinstance(triples, np.ndarray):
+        edges = triples
+    else:
         lines, us, vs, tokens = zip(*triples) if triples else ((),) * 4
         signs = [_SIGNS.get(token, 0) for token in tokens]
         if 0 in signs:
@@ -540,9 +548,9 @@ def read_signed_graph(path, mode: Optional[str] = None) -> SignedGraph:
     return build_signed_graph(n, edges, mode)
 
 
-def read_weighted_graph(path) -> WeightedGraph:
-    source = str(path)
-    n, triples = _parse_edge_lines(Path(path).read_text(), source)
+def _weighted_graph(source: str, n: int, triples) -> WeightedGraph:
+    if isinstance(triples, np.ndarray):  # the writer's form: edge i is on line i + 2
+        triples = [(i, u, v, s) for i, (u, v, s) in enumerate(triples.tolist(), start=2)]
     w = np.zeros((n, n))
     seen = set()
     for lineno, u, v, token in triples:
@@ -561,3 +569,27 @@ def read_weighted_graph(path) -> WeightedGraph:
         w[u, v] = value
         w[v, u] = value
     return WeightedGraph(n, w)
+
+
+def _read_graph(path):
+    """Read an edge-list file once, as a signed graph when every edge line's
+    third token is +1, 1 or -1 and no line is a loop ``u u s``, and as a
+    weighted graph otherwise; a file that fails gets the reason of its kind."""
+    source, n, triples = _edge_lines(path)
+    if isinstance(triples, np.ndarray):
+        signed = not (triples[:, 0] == triples[:, 1]).any()
+    else:
+        signed = all(token in _SIGNS and u != v for _, u, v, token in triples)
+    if signed:
+        return _signed_graph(source, n, triples, None)
+    return _weighted_graph(source, n, triples)
+
+
+def read_signed_graph(path, mode: Optional[str] = None) -> SignedGraph:
+    """Read a signed edge list.  ``mode=None`` selects simple mode unless
+    the file contains parallel edges."""
+    return _signed_graph(*_edge_lines(path), mode)
+
+
+def read_weighted_graph(path) -> WeightedGraph:
+    return _weighted_graph(*_edge_lines(path))

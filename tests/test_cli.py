@@ -553,11 +553,10 @@ def test_a_reason_both_readers_give_is_stated_once(capsys, tmp_path):
         2, "", f"error: cannot read {graph}: {info.value}\n")
     assert run(capsys, "walk", "a\0b", *walk) == (
         2, "", "error: cannot read a\0b: embedded null byte\n")
-    # different reasons keep both parts
+    # a loop makes the file weighted, and only the weighted reason is given
     graph.write_text("n 3\n0 1 1\n0 1 1\n2 2 1\n")
     assert run(capsys, "walk", str(graph), *walk) == (
-        2, "", f"error: self-loop at vertex 2; as a weighted file: "
-               f"{graph}:3: duplicate entry for (0, 1)\n")
+        2, "", f"error: {graph}:3: duplicate entry for (0, 1)\n")
 
 
 def test_meaningless_numbers_fail_cleanly(capsys, tmp_path):
@@ -567,9 +566,10 @@ def test_meaningless_numbers_fail_cleanly(capsys, tmp_path):
                         ("n 2\n0 1 nan\n", "'nan' is not finite"),
                         ("n 2\n0 1 0\n0 1 5\n", "duplicate entry for (0, 1)"),
                         ("n 2\n0 1 0.5\n0 1 0.5\n", "duplicate entry for (0, 1)"),
-                        # legal parallel signed edges: the self-loop is the fault
-                        ("n 3\n0 1 1\n0 1 1\n2 2 1\n", "self-loop at vertex 2"),
-                        ("n 2\n0 1 1\n0 1 1\n0 1 2\n", "got '2'"),
+                        # a loop or a weight other than +-1 makes the file
+                        # weighted, where the parallel edges are the fault
+                        ("n 3\n0 1 1\n0 1 1\n2 2 1\n", ":3: duplicate entry for (0, 1)"),
+                        ("n 2\n0 1 1\n0 1 1\n0 1 2\n", ":3: duplicate entry for (0, 1)"),
                         # headers whose n x n layers numpy cannot address
                         ("n 10000000000\n", ":1: vertex count 10000000000 is too large"),
                         ("n 100000000000000000000\n",
@@ -596,6 +596,113 @@ def test_meaningless_numbers_fail_cleanly(capsys, tmp_path):
                  ["fidelity-curve", k2, "--t-max", "1e300"]):
         code, out, err = run(capsys, *argv, "--from", "0", "--to", "1")
         assert (code, out) == (3, "") and "no correct digit" in err
+
+
+def reader_pair(path):
+    """The graph the signed reader, then on its error the weighted reader, gives
+    for a file (the CLI's reader before one read classified the file), or the
+    pair of their reasons when both refuse it."""
+    try:
+        return read_signed_graph(path)
+    except ValueError as signed_error:
+        try:
+            return read_weighted_graph(path)
+        except ValueError as weighted_error:
+            return str(signed_error), str(weighted_error)
+
+
+_SIGNS = ("+1", "1", "-1")
+
+
+@st.composite
+def edge_files(draw):
+    """An edge-list file and whether it is signed (every third token +1, 1 or -1
+    and no loop): signed files with parallel edges, weighted files with diagonal
+    lines or +-1 weights beside a loop, and faulty files, written in the
+    writer's own form or with double spaces, tabs, comments and CRLF endings."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["signed", "weighted", "faulty"]))
+    vertices = st.integers(0, n - 1).map(str)
+    tokens = st.sampled_from(_SIGNS)
+    if kind == "weighted":
+        tokens = st.one_of(tokens, st.sampled_from(["0", "0.5", "-2.25", "2", "1e-3", "+01"]))
+    elif kind == "faulty":
+        vertices = st.one_of(vertices, st.sampled_from(["-1", str(n), str(2 ** 64), "01"]))
+        if draw(st.booleans()):
+            tokens = st.one_of(tokens, st.sampled_from(["0.5", "2", "x", "nan", "inf", "+2"]))
+    rows, pairs = [], set()
+    for _ in range(draw(st.integers(0, 7))):
+        u, v, token = draw(vertices), draw(vertices), draw(tokens)
+        if kind == "signed" and u == v:
+            if n == 1:
+                continue
+            v = str((int(u) + 1) % n)
+        if kind == "weighted" and frozenset((u, v)) in pairs:  # repeats are faults
+            continue
+        pairs.add(frozenset((u, v)))
+        rows.append([u, v, token])
+    if kind == "weighted" and frozenset(("0", "0")) not in pairs and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), ["0", "0", draw(st.sampled_from(_SIGNS))])
+    header = f"n {n}"
+    if kind == "faulty":
+        if draw(st.integers(0, 3)) == 0:
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([["0", "1"], ["0"]])))
+        header = draw(st.sampled_from([header] * 5 + ["n 0", "m 3", ""]))
+    if draw(st.booleans()):  # the writer's own form
+        text = "".join(f"{line}\n" for line in [header, *map(" ".join, rows)])
+    else:
+        gap, end = draw(st.sampled_from([" ", "  ", "\t"])), draw(st.sampled_from(["\n", "\r\n"]))
+        lines = [gap.join(row) + draw(st.sampled_from(["", "  # note"])) for row in rows]
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["# comment", ""])))
+        text = end.join([header, *lines]) + end
+    signed = all(len(row) == 3 and row[2] in _SIGNS and int(row[0]) != int(row[1]) for row in rows)
+    return text, signed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edge_files())
+def test_one_read_gives_what_the_reader_pair_gave(tmp_path_factory, case):
+    text, signed = case
+    target = tmp_path_factory.getbasetemp() / "graph.txt"
+    target.write_bytes(text.encode())
+    want = reader_pair(target)
+    if isinstance(want, tuple):  # both refused: one reason, that of the file's kind
+        reason = want[0] if signed else want[1]
+        assert _exit_code("walk", str(target), "--from", "0", "--to", "0", "--time", "1") == (
+            2, f"error: {reason}\n")
+        return
+    got = cli.load_graph(str(target))
+    assert type(got) is type(want)
+    if isinstance(want, core.SignedGraph):
+        assert signed
+        assert (got.pos.tolist(), got.neg.tolist(), got.mode) == (
+            want.pos.tolist(), want.neg.tolist(), want.mode)
+    else:
+        assert not signed and np.array_equal(got.weights, want.weights)
+
+
+def test_a_graph_file_is_parsed_once(monkeypatch, tmp_path):
+    calls = []
+    parse = core._parse_edge_lines
+    monkeypatch.setattr(core, "_parse_edge_lines", lambda *args: calls.append(args) or parse(*args))
+    target = tmp_path / "weighted.txt"
+    target.write_text("n 2\n0 0 0.5\n0 1 -1.5\n")
+    assert np.array_equal(cli.load_graph(str(target)).weights, [[0.5, -1.5], [-1.5, 0.0]])
+    assert len(calls) == 1
+
+
+def test_signed_commands_refuse_a_weighted_file(capsys, tmp_path):
+    # +1/-1 weights with a loop, in the writer's own form and not: a weighted graph
+    for text in ("n 3\n0 0 1\n0 1 -1\n1 2 1\n", "n 3\n0 1  -1\n1 2 +1\n2 2 -1\n"):
+        target = tmp_path / "loop.txt"
+        target.write_text(text)
+        graph = cli.load_graph(str(target))
+        assert isinstance(graph, core.WeightedGraph)
+        assert np.array_equal(graph.weights, reader_pair(target).weights)
+        for argv in (["balance"], ["exterior", "--k", "2"], ["symmetric", "--k", "2"],
+                     ["boson", "--k", "2"], ["double-cover"], ["quotient"]):
+            assert run(capsys, argv[0], str(target), *argv[1:]) == (
+                3, "", f"error: {target}: this command needs a +1/-1 signed graph\n")
 
 
 @pytest.mark.parametrize("cut", [None, 0])
