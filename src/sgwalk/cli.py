@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
+import itertools
 import json
 import math
 import operator
 import re
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -196,17 +197,31 @@ def parse_cells(text: str):
 # output helpers
 
 
-def emit(args: argparse.Namespace, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-            reason = getattr(exc, "strerror", None) or exc
-            raise UsageError(f"cannot write {args.out}: {reason}") from None
-    else:
-        sys.stdout.write(text)
+def _write_blocks(write, blocks: Iterable[str]) -> None:
+    """``write`` each block as it is made, then a newline unless the text
+    ends with one."""
+    last = ""
+    for block in blocks:
+        if block:
+            write(block)
+            last = block
+    if not last.endswith("\n"):
+        write("\n")
+
+
+def emit(args: argparse.Namespace, text: Union[str, Iterable[str]]) -> None:
+    """Print ``text`` to ``--out`` or stdout: a string, or blocks of one
+    text, each written as it is made so that the whole is never held."""
+    blocks = [text] if isinstance(text, str) else text
+    if not args.out:
+        _write_blocks(sys.stdout.write, blocks)
+        return
+    try:
+        with Path(args.out).open("w") as out:
+            _write_blocks(out.write, blocks)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise UsageError(f"cannot write {args.out}: {reason}") from None
 
 
 def emit_json(args: argparse.Namespace, payload) -> None:
@@ -281,7 +296,7 @@ def _fixed_cells(x: np.ndarray) -> list:
 
 
 def _digit_rows(pieces, fields, columns) -> Iterator[str]:
-    """Yield the blocks of :func:`_fixed_table`, each rendered as one byte buffer
+    """Yield the blocks of :func:`_table_blocks`, each rendered as one byte buffer
     with NULs squeezed out: ``pieces`` are the literal text of a line around its
     ``fields``."""
     pieces = [np.frombuffer(piece.encode(), np.uint8) for piece in pieces]
@@ -303,21 +318,27 @@ def _digit_rows(pieces, fields, columns) -> Iterator[str]:
         yield lines.tobytes().replace(b"\0", b"").decode()
 
 
-def _fixed_table(row: str, columns) -> str:
-    """Lines of ``row`` filled from the columns, each ``%.12f`` field as
-    :func:`scenarios.fixed` prints it: both round the exact value to 12 places,
-    and only ``fixed`` drops the sign of a zero.  The fields are ``%.12f`` and
-    ``%s`` of ASCII strings.  A table of at least ``_DIGIT_MIN_ROWS`` rows whose
-    numbers are all finite and below ``_DIGIT_LIMIT`` in magnitude is rendered
-    as digit bytes, any other by the %-template."""
+def _table_blocks(row: str, columns) -> Iterator[str]:
+    """Lines of ``row`` filled from the columns, in blocks made one at a time,
+    each ``%.12f`` field as :func:`scenarios.fixed` prints it: both round the
+    exact value to 12 places, and only ``fixed`` drops the sign of a zero.  The
+    fields are ``%.12f`` and ``%s`` of ASCII strings.  A table of at least
+    ``_DIGIT_MIN_ROWS`` rows whose numbers are all finite and below
+    ``_DIGIT_LIMIT`` in magnitude is rendered as digit bytes, any other by the
+    %-template."""
     if len(columns[0]) >= _DIGIT_MIN_ROWS:
         pieces = re.split(r"(%\.12f|%s)", row + "\n")  # text, field, text, ..., text
         fields = pieces[1::2]
         if all((np.abs(np.asarray(column, dtype=float)) < _DIGIT_LIMIT).all()
                for field, column in zip(fields, columns) if field == "%.12f"):
-            return "".join(_digit_rows(pieces[::2], fields, columns))
-    return "".join(block.replace("-0.000000000000", "0.000000000000")
-                   for block in _format_rows(row, columns))
+            return _digit_rows(pieces[::2], fields, columns)
+    return (block.replace("-0.000000000000", "0.000000000000")
+            for block in _format_rows(row, columns))
+
+
+def _fixed_table(row: str, columns) -> str:
+    """The text of :func:`_table_blocks`, joined."""
+    return "".join(_table_blocks(row, columns))
 
 
 def _emit_table(args: argparse.Namespace, names, columns, text_sep=",") -> None:
@@ -333,7 +354,7 @@ def _emit_table(args: argparse.Namespace, names, columns, text_sep=",") -> None:
         return
     sep = text_sep if args.format == "text" else ","
     header = ",".join(names) + "\n" if sep == "," else ""
-    emit(args, header + _fixed_table(sep.join(fields), columns))
+    emit(args, itertools.chain([header], _table_blocks(sep.join(fields), columns)))
 
 
 def graph_document(graph, labels=None) -> str:

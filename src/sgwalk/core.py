@@ -11,6 +11,15 @@ layer and negative edges across.
 
 Vertices are integers ``0..n-1`` throughout.  All graph values are
 immutable after construction (the backing arrays are marked read-only).
+
+Every graph value passes one complete check where its data enters.
+Matrices are checked by :class:`SignedGraph` itself (and by
+:func:`from_net_matrix` for a net matrix): shape, integer entries,
+symmetry, zero diagonal, signs of the counts and the simple-mode rules,
+at O(n^2).  Edges are checked by :func:`build_signed_graph`, edge by edge:
+range, self-loop, sign and simple-mode repeats; the layers it fills from
+checked edges have those properties by construction and are handed to the
+value without a second, matrix-wide check.
 """
 
 from __future__ import annotations
@@ -60,13 +69,20 @@ def _mirror_tiles(n: int) -> Iterator[tuple]:
             yield slice(a, a + _TILE), slice(b, b + _TILE)
 
 
+def _require_integral(a: np.ndarray, name: str) -> None:
+    """Refuse entries that are not integers int64 holds, before any cast:
+    a NaN, an infinity or a float of magnitude 2**63 or more would cast to an
+    arbitrary count."""
+    if a.dtype.kind not in "iu":
+        if not np.all((a == np.rint(a)) & (np.abs(a) < 2.0 ** 63)):
+            raise ValueError(f"{name} matrix must have integer entries")
+
+
 def _int_matrix(m, name: str, n: int) -> np.ndarray:
     a = np.asarray(m)
     if a.shape != (n, n):
         raise ValueError(f"{name} matrix must have shape ({n}, {n}), got {a.shape}")
-    if a.dtype.kind not in "iu":
-        if not np.all(a == np.rint(a)):
-            raise ValueError(f"{name} matrix must have integer entries")
+    _require_integral(a, name)
     return a
 
 
@@ -121,7 +137,7 @@ class SignedGraph:
     @property
     def support(self) -> np.ndarray:
         """Boolean matrix marking pairs joined by at least one edge of any sign."""
-        return (self.pos + self.neg) > 0
+        return np.logical_or(self.pos, self.neg)
 
     def edge_count(self) -> int:
         return int((self.pos.sum() + self.neg.sum()) // 2)
@@ -186,6 +202,22 @@ def _first_repeat(u: np.ndarray, v: np.ndarray, n: int) -> int:
     return int(order[1:][keys[order[1:]] == keys[order[:-1]]].min())
 
 
+def _graph_from_checked_edges(n: int, layers: np.ndarray, mode: str) -> SignedGraph:
+    """The graph value on ``layers``, an owned int64 (2, n, n) array filled
+    from edges that passed :func:`build_signed_graph`'s checks: symmetric,
+    loop-free and non-negative by construction, and simple in simple mode.
+    Only the vertex count and the mode are checked here."""
+    if n < 1:
+        raise ValueError("a graph needs at least one vertex")
+    if mode not in (SIMPLE, MULTIGRAPH):
+        raise ValueError(f"unknown mode {mode!r}")
+    layers.setflags(write=False)
+    g = object.__new__(SignedGraph)
+    for field, value in (("n", n), ("pos", layers[0]), ("neg", layers[1]), ("mode", mode)):
+        object.__setattr__(g, field, value)
+    return g
+
+
 def build_signed_graph(n: int, edges: Iterable[tuple], mode: str = SIMPLE) -> SignedGraph:
     """Build a signed graph from ``(u, v, sign)`` triples.
 
@@ -194,12 +226,13 @@ def build_signed_graph(n: int, edges: Iterable[tuple], mode: str = SIMPLE) -> Si
     is reported, by the first check it fails: range, self-loop, sign,
     duplicate.  An integer (m, 3) array, as the reader passes, is checked by
     masks over its columns; any other iterable edge by edge, as it is
-    converted, so that a small graph makes no numpy call per check.
+    converted, so that a small graph makes no numpy call per check.  These
+    edge checks are the graph's whole check: the layers filled from them are
+    symmetric, loop-free, non-negative and (in simple mode) simple, so the
+    matrix-wide check of :class:`SignedGraph` is not run again on them.
     """
+    layers = np.zeros((2, n, n), dtype=np.int64)
     if isinstance(edges, np.ndarray) and edges.dtype.kind == "i" and edges.shape[1:] == (3,):
-        # counts fit the smallest type that holds the edge count, so the
-        # owning copy SignedGraph makes is the one n x n int64 pair built
-        layers = np.zeros((2, n, n), dtype=np.min_scalar_type(len(edges)))
         u, v, s = edges.astype(np.int64).T
         # as unsigned, a negative index is out of range too
         bad = (np.maximum(u.view(np.uint64), v.view(np.uint64)) >= n) | (u == v) | (np.abs(s) != 1)
@@ -213,9 +246,7 @@ def build_signed_graph(n: int, edges: Iterable[tuple], mode: str = SIMPLE) -> Si
         layer = (1 - s) >> 1  # 0 for +1, 1 for -1
         np.add.at(layers, (layer, u, v), 1)
         np.add.at(layers, (layer, v, u), 1)
-        return SignedGraph(n, layers[0], layers[1], mode)
-    pos = np.zeros((n, n), dtype=np.int64)
-    neg = np.zeros((n, n), dtype=np.int64)
+        return _graph_from_checked_edges(n, layers, mode)
     seen = set()
     for edge in edges:
         try:
@@ -228,10 +259,10 @@ def build_signed_graph(n: int, edges: Iterable[tuple], mode: str = SIMPLE) -> Si
         if mode == SIMPLE and key in seen:
             raise ValueError(f"duplicate edge {key} in simple mode")
         seen.add(key)
-        layer = pos if s == 1 else neg
+        layer = layers[0 if s == 1 else 1]
         layer[u, v] += 1
         layer[v, u] += 1
-    return SignedGraph(n, pos, neg, mode)
+    return _graph_from_checked_edges(n, layers, mode)
 
 
 def from_net_matrix(matrix, mode: Optional[str] = None) -> SignedGraph:
@@ -244,9 +275,7 @@ def from_net_matrix(matrix, mode: Optional[str] = None) -> SignedGraph:
     """
     a = np.asarray(matrix)
     n = a.shape[0]
-    if not np.issubdtype(a.dtype, np.integer):
-        if not np.all(a == np.rint(a)):
-            raise ValueError("net matrix must have integer entries")
+    _require_integral(a, "net")
     a = a.astype(np.int64, copy=False)
     top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
     if mode is None:
@@ -350,6 +379,16 @@ def _search_tree(net: np.ndarray):
     return d, alt
 
 
+def _upper_entries(mask: np.ndarray) -> tuple:
+    """The flat indices, rows and columns of the true entries of a square bool
+    matrix on and above its diagonal, in row-major order: what
+    ``np.nonzero(np.triu(mask))`` gives, from one flat scan of the mask."""
+    at = np.flatnonzero(mask)
+    uu, vv = np.divmod(at, mask.shape[0])
+    upper = uu <= vv
+    return at[upper], uu[upper], vv[upper]
+
+
 def is_connected(g) -> bool:
     """Connectivity of the underlying graph (any-sign edges count)."""
     adj = g.support if isinstance(g, SignedGraph) else np.asarray(g.adjacency) != 0
@@ -368,8 +407,8 @@ def balance_verdict(g: SignedGraph) -> BalanceVerdict:
     d, alt = _search_tree(net)
     if not d.all():
         raise ValueError("balance verdict requires a connected graph")
-    uu, vv = np.nonzero(np.triu(net))
-    product = d[uu] * net[uu, vv] * d[vv]  # sign of each edge after switching by d
+    at, uu, vv = _upper_entries(net != 0)
+    product = d[uu] * net.ravel()[at] * d[vv]  # sign of each edge after switching by d
     antibalanced = bool(np.all(product * alt[uu] * alt[vv] == -1))
     if np.all(product == 1):
         d.setflags(write=False)
@@ -422,13 +461,13 @@ def signed_union(a: SignedGraph, b: SignedGraph, sign_of_b: int = 1,
 def _edge_columns(g) -> tuple:
     """The u, v and sign (or weight) columns of the lines of :func:`graph_edges`."""
     if isinstance(g, SignedGraph):
-        uu, vv = np.nonzero(np.triu(g.support))
-        counts = np.stack((g.pos[uu, vv], g.neg[uu, vv]), axis=1).ravel()  # +1 first
+        at, uu, vv = _upper_entries(g.support)
+        counts = np.stack((g.pos.ravel()[at], g.neg.ravel()[at]), axis=1).ravel()  # +1 first
         return (np.repeat(np.repeat(uu, 2), counts), np.repeat(np.repeat(vv, 2), counts),
                 np.repeat(np.tile([1, -1], len(uu)), counts))
     w = g.adjacency
-    uu, vv = np.nonzero(np.triu(w))
-    return uu, vv, w[uu, vv]
+    at, uu, vv = _upper_entries(w != 0)
+    return uu, vv, w.ravel()[at]
 
 
 def graph_edges(g) -> Iterator[tuple]:

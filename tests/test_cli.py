@@ -275,7 +275,8 @@ def test_fidelity_curve(capsys, tmp_path):
 def test_fidelity_curve_memory_does_not_grow_with_points_times_n(tmp_path):
     # 100,001 points on Q6: a complex table of every time against the 64
     # eigenvalues takes 102 MB; the grid kernel holds one chunk of it, and
-    # the CSV text (6.2 MB) with its blocks sets the peak
+    # the CSV text (6.2 MB) is written block by block as it is made, so the
+    # peak stays under twice the text
     cube, out = tmp_path / "q6.txt", tmp_path / "curve.csv"
     sgwalk.write_edge_list(sgwalk.hypercube(6), cube)
     argv = ["fidelity-curve", str(cube), "--from", "0", "--to", "63", "--t-max", "10*pi",
@@ -286,8 +287,9 @@ def test_fidelity_curve_memory_does_not_grow_with_points_times_n(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(out.read_text().splitlines()) == 100_002
-    assert peak < 32e6
+    text = out.read_text()
+    assert len(text.splitlines()) == 100_002
+    assert peak < 2 * len(text)
 
 
 def reference_table(rows, sep):

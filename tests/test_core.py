@@ -1,6 +1,7 @@
 """Signed-graph container, balance, switching and edge-list I/O."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -418,6 +419,59 @@ def test_build_matches_the_per_edge_loop(case):
                        mode) == want
 
 
+@st.composite
+def clean_edge_lists(draw):
+    """Edges that pass every edge check: in simple mode no pair repeats, in
+    multigraph mode pairs repeat with either sign."""
+    n = draw(st.integers(1, 9))
+    mode = draw(st.sampled_from([SIMPLE, MULTIGRAPH]))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    if not pairs:
+        return n, [], mode
+    picks = draw(st.lists(st.sampled_from(pairs), max_size=30,
+                          unique_by=(lambda pair: frozenset(pair)) if mode == SIMPLE else None))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(picks), max_size=len(picks)))
+    return n, [(u, v, s) for (u, v), s in zip(picks, signs)], mode
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(clean_edge_lists())
+def test_built_layers_are_halves_of_one_array_the_full_check_accepts(case):
+    n, edges, mode = case
+    for given_edges in (edges, np.array(edges, dtype=np.int64).reshape(-1, 3)):
+        g = build_signed_graph(n, given_edges, mode)
+        layers = g.pos.base
+        assert layers is not None and layers is g.neg.base and layers.flags.owndata
+        assert layers.shape == (2, n, n) and layers.dtype == np.int64
+        assert not (layers.flags.writeable or g.pos.flags.writeable or g.neg.flags.writeable)
+        assert g.pos.dtype == g.neg.dtype == np.int64
+        assert np.shares_memory(g.pos, layers[0]) and np.shares_memory(g.neg, layers[1])
+        # the full matrix check is the oracle: it accepts the layers as they are
+        checked = SignedGraph(n, g.pos.copy(), g.neg.copy(), mode)
+        assert (g.n, g.mode) == (checked.n, checked.mode) == (n, mode)
+        assert np.array_equal(g.pos, checked.pos) and np.array_equal(g.neg, checked.neg)
+
+
+@pytest.mark.parametrize("name, make", [
+    ("pos", lambda m: SignedGraph(2, m, np.zeros((2, 2)), MULTIGRAPH)),
+    ("neg", lambda m: SignedGraph(2, np.zeros((2, 2)), m, MULTIGRAPH)),
+    ("net", lambda m: from_net_matrix(m)),
+])
+@pytest.mark.parametrize("entry", [float("inf"), -float("inf"), float("nan"), 1e300, -1e300,
+                                   2.0 ** 63, -(2.0 ** 63), 0.5])
+def test_entries_int64_cannot_hold_are_refused_before_any_cast(name, make, entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "invalid value encountered in cast"
+        with pytest.raises(ValueError, match=f"^{name} matrix must have integer entries$"):
+            make([[0.0, entry], [entry, 0.0]])
+
+
+def test_the_largest_float_below_two_to_the_63_is_a_count():
+    top = 2.0 ** 63 - 1024
+    g = SignedGraph(2, [[0.0, top], [top, 0.0]], np.zeros((2, 2)), MULTIGRAPH)
+    assert g.pos[0, 1] == 2 ** 63 - 1024
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(faulty_edge_lists(), st.sampled_from([None, SIMPLE, MULTIGRAPH]), st.booleans())
 def test_read_matches_the_per_line_loop(tmp_path_factory, case, mode, canonical):
@@ -496,6 +550,65 @@ def test_symmetry_checks_reach_every_tile(n):
         w[u, v] = 1.0 + 0.99e-12
         half = w / 2.0
         assert np.array_equal(WeightedGraph(n, w).weights, half + half.T)
+
+
+def reference_columns(g):
+    """The 2-D ``nonzero(triu(...))`` enumeration that the flat mask scan replaces."""
+    if isinstance(g, SignedGraph):
+        uu, vv = np.nonzero(np.triu(g.support))
+        counts = np.stack((g.pos[uu, vv], g.neg[uu, vv]), axis=1).ravel()
+        return (np.repeat(np.repeat(uu, 2), counts), np.repeat(np.repeat(vv, 2), counts),
+                np.repeat(np.tile([1, -1], len(uu)), counts))
+    w = g.adjacency
+    uu, vv = np.nonzero(np.triu(w))
+    return uu, vv, w[uu, vv]
+
+
+def reference_balance(g):
+    """:func:`balance_verdict` through the 2-D ``nonzero(triu(net))`` it used."""
+    net = g.adjacency
+    d, alt = core._search_tree(net)
+    uu, vv = np.nonzero(np.triu(net))
+    product = d[uu] * net[uu, vv] * d[vv]
+    antibalanced = bool(np.all(product * alt[uu] * alt[vv] == -1))
+    if np.all(product == 1):
+        return "balanced", d.tolist(), antibalanced
+    if antibalanced:
+        return "antibalanced", (d * alt).tolist(), False
+    return "neither", None, False
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 300])
+def test_edge_enumerations_match_the_2d_triu_scan(n):
+    rng = np.random.default_rng(n)
+    u = rng.integers(0, n, size=4 * n)
+    v = (u + rng.integers(1, n, size=4 * n)) % n  # no loops
+    edges = np.stack([u, v, rng.choice([1, -1], size=4 * n)], axis=1)
+    # parallel edges of one sign and of both signs
+    edges = np.concatenate([edges, edges[:n], edges[n:2 * n] * [1, 1, -1]])
+    multigraph = build_signed_graph(n, edges, MULTIGRAPH)
+    assert multigraph.pos.max() > 1 and (multigraph.pos & multigraph.neg).any()
+    w = np.triu(np.where(rng.random((n, n)) < 0.05, rng.normal(size=(n, n)), 0.0))
+    weighted = WeightedGraph(n, w + np.triu(w, k=1).T)  # diagonal entries included
+    for g in (multigraph, weighted):
+        got, want = core._edge_columns(g), reference_columns(g)
+        assert all(a.tolist() == b.tolist() for a, b in zip(got, want))
+        assert list(graph_edges(g)) == list(reference_edges(g))
+    # balance: a ring with chords, all-positive, all-negative and randomly
+    # signed, and the ring alone (both balanced and antibalanced at even n),
+    # each as built and switched
+    chords = {(min(a, b), max(a, b)) for a, b in rng.integers(0, n, size=(n, 2)) if abs(a - b) > 1}
+    pairs = [(i, (i + 1) % n) for i in range(n)] + sorted(chords - {(0, n - 1)})
+    signs = rng.choice([1, -1], size=len(pairs)).tolist()
+    d = rng.choice([1, -1], size=n)
+    for g in (build_signed_graph(n, [(a, b, 1) for a, b in pairs]),
+              build_signed_graph(n, [(a, b, -1) for a, b in pairs]),
+              build_signed_graph(n, [(a, b, s) for (a, b), s in zip(pairs, signs)]),
+              build_signed_graph(n, [(a, b, 1) for a, b in pairs[:n]])):
+        for h in (g, switch(g, d)):
+            verdict = balance_verdict(h)
+            witness = None if verdict.witness is None else verdict.witness.tolist()
+            assert (verdict.status, witness, verdict.also_antibalanced) == reference_balance(h)
 
 
 def test_comments_and_blank_lines_are_ignored(tmp_path):
