@@ -17,7 +17,9 @@ from .core import (
     MULTIGRAPH,
     SIMPLE,
     SignedGraph,
+    _graph_from_layers,
     _require_unsigned,
+    _simple_graph,
     build_signed_graph,
     from_net_matrix,
 )
@@ -52,7 +54,7 @@ def complete(n: int) -> SignedGraph:
     """Complete graph on n >= 2 vertices."""
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
-    return from_net_matrix(np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
+    return _simple_graph(~np.eye(n, dtype=bool))
 
 
 def cycle(n: int) -> SignedGraph:
@@ -84,20 +86,14 @@ def cocktail_party(parts: int) -> SignedGraph:
     """
     if parts < 2:
         raise ValueError("cocktail party graph needs at least 2 parts")
-    n = 2 * parts
-    net = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    net[np.arange(n), (np.arange(n) + parts) % n] = 0
-    return from_net_matrix(net)
+    return complement(permutation_graph(2 * parts, antipodal_pairs(2 * parts)))
 
 
 def complete_bipartite(m: int, n: int) -> SignedGraph:
     """Complete bipartite graph with sides {0..m-1} and {m..m+n-1}."""
     if m < 1 or n < 1:
         raise ValueError("complete bipartite graph needs non-empty sides")
-    net = np.zeros((m + n, m + n), dtype=np.int64)
-    net[:m, m:] = 1
-    net[m:, :m] = 1
-    return from_net_matrix(net)
+    return signed_join(build_signed_graph(m, []), build_signed_graph(n, []), 1, 1)
 
 
 def petersen() -> SignedGraph:
@@ -115,18 +111,17 @@ def circulant(n: int, connections: Iterable[int]) -> SignedGraph:
     conns = sorted(set(int(c) for c in connections))
     if any(c < 1 or c > n // 2 for c in conns):
         raise ValueError("circulant connections must lie in 1..n//2")
-    net = np.zeros((n, n), dtype=np.int64)
+    adj = np.zeros((n, n), dtype=bool)
     u = np.arange(n)[:, None]
     v = (u + np.array(conns, dtype=np.int64)) % n
-    net[u, v] = net[v, u] = 1
-    return from_net_matrix(net)
+    adj[u, v] = adj[v, u] = True
+    return _simple_graph(adj)
 
 
 def complement(g: SignedGraph) -> SignedGraph:
     """Complement of an all-positive simple graph."""
     _require_unsigned(g, "complement")
-    net = np.ones((g.n, g.n), dtype=np.int64) - np.eye(g.n, dtype=np.int64) - g.pos
-    return from_net_matrix(net)
+    return _simple_graph(~np.eye(g.n, dtype=bool) & (g.pos == 0))
 
 
 def cartesian_product(factors: Sequence[SignedGraph]) -> SignedGraph:
@@ -174,7 +169,7 @@ def signed_join(g1: SignedGraph, g2: SignedGraph, sign_g1: int,
     net[n1:, n1:] = g2.pos
     net[:n1, n1:] = sign_cross
     net[n1:, :n1] = sign_cross
-    return from_net_matrix(net)
+    return _simple_graph(net)
 
 
 @dataclass(frozen=True)
@@ -211,9 +206,9 @@ class CubelikeSpec:
 def cubelike(spec: CubelikeSpec) -> SignedGraph:
     """Cubelike graph: u ~ v iff u XOR v lies in the connection set."""
     u = np.arange(1 << spec.d)[:, None]
-    net = np.zeros((len(u), len(u)), dtype=np.int64)
-    net[u, u ^ np.array(spec.elements)] = 1
-    return from_net_matrix(net)
+    adj = np.zeros((len(u), len(u)), dtype=bool)
+    adj[u, u ^ np.array(spec.elements)] = True
+    return _simple_graph(adj)
 
 
 def permutation_graph(n: int, pairs: Iterable[tuple]) -> SignedGraph:
@@ -270,11 +265,12 @@ def double_cover(g: SignedGraph) -> SignedGraph:
     result is an ordinary all-positive graph whenever all multiplicities
     are one.
     """
-    eye2 = np.eye(2, dtype=np.int64)
-    xmat = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    cover = np.kron(g.pos, eye2) + np.kron(g.neg, xmat)
-    mode = SIMPLE if cover.max(initial=0) <= 1 else MULTIGRAPH
-    return SignedGraph(2 * g.n, cover, np.zeros_like(cover), mode)
+    layers = np.zeros((2, 2 * g.n, 2 * g.n), dtype=np.int64)
+    blocks = layers[0].reshape(g.n, 2, g.n, 2)  # blocks[u, b, v, c]: (u, b) to (v, c)
+    blocks[:, [0, 1], :, [0, 1]] = g.pos  # inside each layer
+    blocks[:, [0, 1], :, [1, 0]] = g.neg  # across the layers
+    mode = SIMPLE if max(g.pos.max(), g.neg.max()) <= 1 else MULTIGRAPH
+    return _graph_from_layers(layers, mode)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,13 @@ Vertices are integers ``0..n-1`` throughout.  All graph values are
 immutable after construction (the backing arrays are marked read-only).
 
 Every graph value passes one complete check where its data enters.
-Matrices are checked by :class:`SignedGraph` itself (and by
-:func:`from_net_matrix` for a net matrix): shape, integer entries,
-symmetry, zero diagonal, signs of the counts and the simple-mode rules,
-at O(n^2).  Edges are checked by :func:`build_signed_graph`, edge by edge:
-range, self-loop, sign and simple-mode repeats; the layers it fills from
-checked edges have those properties by construction and are handed to the
-value without a second, matrix-wide check.
+Matrices from outside the library are checked by :class:`SignedGraph`
+(also under :func:`from_net_matrix`, :func:`signed_union` and
+``cartesian_product``): shape, integer entries, symmetry, zero diagonal,
+signs of the counts and the simple-mode rules, at O(n^2).  Edges are
+checked by :func:`build_signed_graph`, edge by edge.  Values derived from
+a checked graph or built from checked parameters have those properties by
+construction, and are handed over by :func:`_graph_from_layers` unchecked.
 """
 
 from __future__ import annotations
@@ -70,12 +70,15 @@ def _mirror_tiles(n: int) -> Iterator[tuple]:
 
 
 def _require_integral(a: np.ndarray, name: str) -> None:
-    """Refuse entries that are not integers int64 holds, before any cast:
-    a NaN, an infinity or a float of magnitude 2**63 or more would cast to an
-    arbitrary count."""
-    if a.dtype.kind not in "iu":
-        if not np.all((a == np.rint(a)) & (np.abs(a) < 2.0 ** 63)):
-            raise ValueError(f"{name} matrix must have integer entries")
+    """Refuse entries that are not integers of magnitude below 2**63, before
+    any cast or negation: NaN, infinities, floats or uint64s of 2**63 or more,
+    -2**63 (no int64 negation), complex entries and object arrays."""
+    if a.dtype.kind in "iu":
+        ok = not a.size or -2 ** 63 < int(a.min()) and int(a.max()) < 2 ** 63
+    else:
+        ok = a.dtype.kind in "bf" and np.all((a == np.rint(a)) & (np.abs(a) < 2.0 ** 63))
+    if not ok:
+        raise ValueError(f"{name} matrix must have integer entries")
 
 
 def _int_matrix(m, name: str, n: int) -> np.ndarray:
@@ -202,11 +205,12 @@ def _first_repeat(u: np.ndarray, v: np.ndarray, n: int) -> int:
     return int(order[1:][keys[order[1:]] == keys[order[:-1]]].min())
 
 
-def _graph_from_checked_edges(n: int, layers: np.ndarray, mode: str) -> SignedGraph:
+def _graph_from_layers(layers: np.ndarray, mode: str) -> SignedGraph:
     """The graph value on ``layers``, an owned int64 (2, n, n) array filled
-    from edges that passed :func:`build_signed_graph`'s checks: symmetric,
-    loop-free and non-negative by construction, and simple in simple mode.
-    Only the vertex count and the mode are checked here."""
+    from checked edges, a graph value or checked parameters, so symmetric,
+    loop-free, non-negative and (in simple mode) simple; a property test holds
+    each caller to that.  Only the vertex count and the mode are checked."""
+    n = layers.shape[1]
     if n < 1:
         raise ValueError("a graph needs at least one vertex")
     if mode not in (SIMPLE, MULTIGRAPH):
@@ -246,7 +250,7 @@ def build_signed_graph(n: int, edges: Iterable[tuple], mode: str = SIMPLE) -> Si
         layer = (1 - s) >> 1  # 0 for +1, 1 for -1
         np.add.at(layers, (layer, u, v), 1)
         np.add.at(layers, (layer, v, u), 1)
-        return _graph_from_checked_edges(n, layers, mode)
+        return _graph_from_layers(layers, mode)
     seen = set()
     for edge in edges:
         try:
@@ -262,7 +266,7 @@ def build_signed_graph(n: int, edges: Iterable[tuple], mode: str = SIMPLE) -> Si
         layer = layers[0 if s == 1 else 1]
         layer[u, v] += 1
         layer[v, u] += 1
-    return _graph_from_checked_edges(n, layers, mode)
+    return _graph_from_layers(layers, mode)
 
 
 def from_net_matrix(matrix, mode: Optional[str] = None) -> SignedGraph:
@@ -277,16 +281,10 @@ def from_net_matrix(matrix, mode: Optional[str] = None) -> SignedGraph:
     n = a.shape[0]
     _require_integral(a, "net")
     a = a.astype(np.int64, copy=False)
-    top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
     if mode is None:
-        mode = SIMPLE if top <= 1 else MULTIGRAPH
-    # Layers of +-1 entries (every simple graph, every power) fit a byte, so
-    # the owning copy SignedGraph makes is the one n x n int64 pair built.
-    small = np.int8 if top < 128 else np.int64
-    pos = np.maximum(a, 0, dtype=small, casting="unsafe")
-    neg = np.minimum(a, 0, dtype=small, casting="unsafe")
-    np.negative(neg, out=neg)
-    return SignedGraph(n, pos, neg, mode)
+        mode = SIMPLE if max(int(a.max(initial=0)), -int(a.min(initial=0))) <= 1 else MULTIGRAPH
+    pos = np.maximum(a, 0)
+    return SignedGraph(n, pos, pos - a, mode)
 
 
 def _require_simple(g: SignedGraph, op: str) -> None:
@@ -299,22 +297,30 @@ def _require_unsigned(g: SignedGraph, op: str) -> None:
         raise ValueError(f"{op} expects an all-positive simple graph")
 
 
+def _simple_graph(net: np.ndarray) -> SignedGraph:
+    """:func:`_graph_from_layers` on a symmetric, loop-free {-1, 0, +1} or bool net matrix."""
+    layers = np.empty((2, *net.shape), dtype=np.int64)
+    np.greater(net, 0, out=layers[0])
+    np.less(net, 0, out=layers[1])
+    return _graph_from_layers(layers, SIMPLE)
+
+
 def positive_part(g: SignedGraph) -> SignedGraph:
     """Spanning subgraph of the +1 edges."""
     _require_simple(g, "positive_part")
-    return SignedGraph(g.n, g.pos, np.zeros_like(g.neg), SIMPLE)
+    return _simple_graph(g.pos)
 
 
 def negative_part(g: SignedGraph) -> SignedGraph:
     """Spanning subgraph of the -1 edges, reported with positive signs."""
     _require_simple(g, "negative_part")
-    return SignedGraph(g.n, g.neg, np.zeros_like(g.pos), SIMPLE)
+    return _simple_graph(g.neg)
 
 
 def underlying(g: SignedGraph) -> SignedGraph:
     """The unsigned graph obtained by forgetting all signs."""
     _require_simple(g, "underlying")
-    return SignedGraph(g.n, g.pos + g.neg, np.zeros_like(g.neg), SIMPLE)
+    return _simple_graph(g.support)
 
 
 def _switching_vector(d, n: int) -> np.ndarray:
@@ -335,10 +341,8 @@ def switch(g: SignedGraph, d) -> SignedGraph:
     underlying graph, edge multiplicities and the adjacency spectrum.
     """
     vec = _switching_vector(d, g.n)
-    flip = np.outer(vec, vec) < 0
-    pos = np.where(flip, g.neg, g.pos)
-    neg = np.where(flip, g.pos, g.neg)
-    return SignedGraph(g.n, pos, neg, g.mode)
+    layers = np.array((g.pos, g.neg))
+    return _graph_from_layers(np.where(np.outer(vec, vec) < 0, layers[::-1], layers), g.mode)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .construct import _kronecker_sum
-from .core import SignedGraph, WeightedGraph, _require_unsigned, from_net_matrix
+from .core import SignedGraph, WeightedGraph, _require_unsigned, _simple_graph
 from .spectral import PstVerdict, is_pst
 
 __all__ = [
@@ -221,7 +221,7 @@ def exterior_power(g: SignedGraph, k: int) -> SignedGraph:
     permutation between the two sorted tuples).
     """
     _require_unsigned(g, "exterior_power")
-    return from_net_matrix(_hop_nets(g.pos[None], k, False)[0])
+    return _simple_graph(_hop_nets(g.pos[None], k, False)[0])
 
 
 def exterior_power_oracle(g: SignedGraph, k: int) -> WeightedGraph:
@@ -258,7 +258,7 @@ def symmetric_power(g: SignedGraph, k: int) -> SignedGraph:
     """Unsigned k-th symmetric power: same support as the exterior power,
     every edge positive."""
     _require_unsigned(g, "symmetric_power")
-    return from_net_matrix(np.abs(_hop_nets(g.pos[None], k, False)[0]))
+    return _simple_graph(_hop_nets(g.pos[None], k, False)[0] != 0)
 
 
 def boson_quotient(g: SignedGraph, k: int) -> WeightedGraph:

@@ -1,7 +1,9 @@
 """Signed-graph container, balance, switching and edge-list I/O."""
 
 import itertools
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,20 +13,32 @@ from hypothesis import strategies as st
 from sgwalk import (
     MULTIGRAPH,
     SIMPLE,
+    CubelikeSpec,
     SignedGraph,
     WeightedGraph,
     balance_verdict,
     build_signed_graph,
+    cartesian_product,
+    circulant,
+    cocktail_party,
+    complement,
+    complete_bipartite,
+    cubelike,
+    double_cover,
+    exterior_power,
     format_edge_list,
     from_net_matrix,
     graph_edges,
+    hypercube,
     is_connected,
     negative_part,
     positive_part,
     read_signed_graph,
     read_weighted_graph,
+    signed_join,
     signed_union,
     switch,
+    symmetric_power,
     underlying,
     write_edge_list,
 )
@@ -198,6 +212,11 @@ def test_signed_union_layers_and_overlap():
     multi = signed_union(q, cycle(4), -1, mode=MULTIGRAPH)
     assert multi.mode == MULTIGRAPH
     assert multi.pos[0, 1] == 1 and multi.neg[0, 1] == 1
+    # sign_of_b = +1 keeps the signs of b, layer by layer
+    a, b = square([1, -1, 1, -1]), build_signed_graph(4, [(0, 2, -1), (1, 3, 1)])
+    plus = signed_union(a, b)
+    assert plus.mode == SIMPLE
+    assert np.array_equal(plus.pos, a.pos + b.pos) and np.array_equal(plus.neg, a.neg + b.neg)
 
 
 def test_connectivity():
@@ -330,6 +349,9 @@ def test_read_errors(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError):
             read_weighted_graph(bad)
+    bad.write_text("n x\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:1: bad vertex count 'x'$"):
+        read_signed_graph(bad)
 
 
 def reference_build(n, edges, mode):
@@ -434,22 +456,110 @@ def clean_edge_lists(draw):
     return n, [(u, v, s) for (u, v), s in zip(picks, signs)], mode
 
 
+def assert_handed_over_intact(g):
+    """g's layers are read-only int64 halves of one owned (2, n, n) array, and
+    bit for bit what the full matrix check makes of them: the oracle accepts
+    them as they are."""
+    layers = g.pos.base
+    assert layers is not None and layers is g.neg.base and layers.flags.owndata
+    assert layers.shape == (2, g.n, g.n) and layers.dtype == np.int64
+    assert not (layers.flags.writeable or g.pos.flags.writeable or g.neg.flags.writeable)
+    assert g.pos.dtype == g.neg.dtype == np.int64
+    assert np.shares_memory(g.pos, layers[0]) and np.shares_memory(g.neg, layers[1])
+    checked = SignedGraph(g.n, g.pos.copy(), g.neg.copy(), g.mode)
+    assert (g.n, g.mode) == (checked.n, checked.mode)
+    assert np.array_equal(g.pos, checked.pos) and np.array_equal(g.neg, checked.neg)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(clean_edge_lists())
 def test_built_layers_are_halves_of_one_array_the_full_check_accepts(case):
     n, edges, mode = case
     for given_edges in (edges, np.array(edges, dtype=np.int64).reshape(-1, 3)):
         g = build_signed_graph(n, given_edges, mode)
-        layers = g.pos.base
-        assert layers is not None and layers is g.neg.base and layers.flags.owndata
-        assert layers.shape == (2, n, n) and layers.dtype == np.int64
-        assert not (layers.flags.writeable or g.pos.flags.writeable or g.neg.flags.writeable)
-        assert g.pos.dtype == g.neg.dtype == np.int64
-        assert np.shares_memory(g.pos, layers[0]) and np.shares_memory(g.neg, layers[1])
-        # the full matrix check is the oracle: it accepts the layers as they are
-        checked = SignedGraph(n, g.pos.copy(), g.neg.copy(), mode)
-        assert (g.n, g.mode) == (checked.n, checked.mode) == (n, mode)
-        assert np.array_equal(g.pos, checked.pos) and np.array_equal(g.neg, checked.neg)
+        assert (g.n, g.mode) == (n, mode)
+        assert_handed_over_intact(g)
+
+
+def drawn_graph(draw, n, mode, signs):
+    """A graph on n vertices with edges of the given signs; pairs repeat only
+    in multigraph mode."""
+    pairs = list(itertools.combinations(range(n), 2))
+    picks = draw(st.lists(st.sampled_from(pairs), max_size=3 * n,
+                          unique=mode == SIMPLE)) if pairs else []
+    return build_signed_graph(n, [(u, v, draw(st.sampled_from(signs))) for u, v in picks], mode)
+
+
+@st.composite
+def derivations(draw):
+    """(name, thunk) pairs for every graph the library derives from a checked
+    graph or builds from checked parameters: switchings, parts and double
+    covers of a signed simple graph and a signed multigraph, powers and
+    complements of unsigned graphs, and each construction on drawn
+    parameters."""
+    n = draw(st.integers(1, 7))
+    signed = drawn_graph(draw, n, SIMPLE, (1, -1))
+    multi = drawn_graph(draw, n, MULTIGRAPH, (1, -1))
+    unsigned = drawn_graph(draw, n, SIMPLE, (1,))
+    other = drawn_graph(draw, draw(st.integers(1, 5)), SIMPLE, (1,))
+    d = np.array(draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
+    k = draw(st.integers(1, n))
+    m = draw(st.integers(1, 9))
+    conns = draw(st.sets(st.integers(1, m // 2)) if m > 1 else st.just(set()))
+    dim = draw(st.integers(1, 4))
+    spec = CubelikeSpec(dim, tuple(draw(st.sets(st.integers(1, 2 ** dim - 1), min_size=1))))
+    sign_g1, sign_cross = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+    sides = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(st.integers(2, 4))
+    return [
+        ("switch", lambda: switch(signed, d)),
+        ("switch of a multigraph", lambda: switch(multi, d)),
+        ("positive_part", lambda: positive_part(signed)),
+        ("negative_part", lambda: negative_part(signed)),
+        ("underlying", lambda: underlying(signed)),
+        ("double_cover", lambda: double_cover(signed)),
+        ("double_cover of a multigraph", lambda: double_cover(multi)),
+        ("exterior_power", lambda: exterior_power(unsigned, k)),
+        ("symmetric_power", lambda: symmetric_power(unsigned, k)),
+        ("complete", lambda: complete(n + 1)),
+        ("cocktail_party", lambda: cocktail_party(parts)),
+        ("complete_bipartite", lambda: complete_bipartite(*sides)),
+        ("circulant", lambda: circulant(m, conns)),
+        ("complement", lambda: complement(unsigned)),
+        ("signed_join", lambda: signed_join(unsigned, other, sign_g1, sign_cross)),
+        ("cubelike", lambda: cubelike(spec)),
+        ("hypercube", lambda: hypercube(dim)),
+    ], (signed, multi, unsigned)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(derivations())
+def test_derived_and_constructed_graphs_skip_the_full_check_it_would_accept(case):
+    derived, (signed, multi, unsigned) = case
+    calls = []
+    full_check = SignedGraph.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        full_check(self)
+
+    with mock.patch.object(SignedGraph, "__post_init__", counted):
+        values, checks = {}, {}
+        for name, make in derived:
+            before = len(calls)
+            values[name] = make()
+            checks[name] = len(calls) - before
+        # matrices from outside the library still get it, once per value
+        for make in (lambda: SignedGraph(multi.n, multi.pos, multi.neg, MULTIGRAPH),
+                     lambda: from_net_matrix(signed.adjacency),
+                     lambda: signed_union(signed, multi, -1, MULTIGRAPH),
+                     lambda: cartesian_product([signed, unsigned])):
+            before = len(calls)
+            make()
+            assert len(calls) == before + 1
+    assert checks == dict.fromkeys(checks, 0)
+    for g in values.values():
+        assert_handed_over_intact(g)
 
 
 @pytest.mark.parametrize("name, make", [
@@ -458,18 +568,60 @@ def test_built_layers_are_halves_of_one_array_the_full_check_accepts(case):
     ("net", lambda m: from_net_matrix(m)),
 ])
 @pytest.mark.parametrize("entry", [float("inf"), -float("inf"), float("nan"), 1e300, -1e300,
-                                   2.0 ** 63, -(2.0 ** 63), 0.5])
+                                   2.0 ** 63, -(2.0 ** 63), 0.5,
+                                   # an int64 cast wraps these; -2**63 has no negation
+                                   np.uint64(2 ** 63), np.uint64(2 ** 64 - 1), np.int64(-2 ** 63),
+                                   # an object array of Python ints; a cast drops 1j
+                                   2 ** 64, 1j, 1 + 1j])
 def test_entries_int64_cannot_hold_are_refused_before_any_cast(name, make, entry):
+    matrix = np.zeros((2, 2), dtype=np.asarray(entry).dtype)
+    matrix[0, 1] = matrix[1, 0] = entry
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no "invalid value encountered in cast"
         with pytest.raises(ValueError, match=f"^{name} matrix must have integer entries$"):
-            make([[0.0, entry], [entry, 0.0]])
+            make(matrix)
 
 
 def test_the_largest_float_below_two_to_the_63_is_a_count():
     top = 2.0 ** 63 - 1024
     g = SignedGraph(2, [[0.0, top], [top, 0.0]], np.zeros((2, 2)), MULTIGRAPH)
     assert g.pos[0, 1] == 2 ** 63 - 1024
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+def test_integers_of_magnitude_below_two_to_the_63_are_counts(dtype):
+    top = dtype(2 ** 63 - 1)
+    matrix = np.array([[0, top], [top, 0]], dtype=dtype)
+    assert SignedGraph(2, matrix, 0 * matrix, MULTIGRAPH).pos[0, 1] == 2 ** 63 - 1
+    assert from_net_matrix(matrix).pos[0, 1] == 2 ** 63 - 1
+    if dtype is np.int64:
+        assert from_net_matrix(-matrix).neg[0, 1] == 2 ** 63 - 1
+
+
+def ones(n):
+    return np.ones((n, n)) - np.eye(n)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SignedGraph(3, ones(2), ones(3)), "pos matrix must have shape (3, 3), got (2, 2)"),
+    (lambda: SignedGraph(2, ones(2), [0, 0]), "neg matrix must have shape (2, 2), got (2,)"),
+    (lambda: SignedGraph(0, ones(0), ones(0)), "a graph needs at least one vertex"),
+    (lambda: SignedGraph(2, np.eye(2), 0 * ones(2)), "self-loops are not allowed"),
+    (lambda: SignedGraph(2, ones(2), -ones(2), MULTIGRAPH), "neg multiplicities must be non-negative"),
+    (lambda: SignedGraph(2, 2 * ones(2), 0 * ones(2)), "simple mode forbids parallel edges"),
+    (lambda: SignedGraph(2, ones(2), ones(2)),
+     "simple mode forbids a positive and a negative edge on the same pair"),
+    (lambda: SignedGraph(2, ones(2), 0 * ones(2), "dense"), "unknown mode 'dense'"),
+    (lambda: WeightedGraph(3, ones(2)), "weights must have shape (3, 3)"),
+    (lambda: switch(cycle(4), [1, -1, 1]), "switching vector must have length 4"),
+    (lambda: switch(cycle(4), [1, -1, 0, 1]), "switching vector entries must be +1 or -1"),
+    (lambda: switch(cycle(4), [1, -1, 2, 1]), "switching vector entries must be +1 or -1"),
+    (lambda: signed_union(cycle(4), cycle(5)), "signed_union needs graphs on the same vertex count"),
+    (lambda: signed_union(cycle(4), path(4), 0, MULTIGRAPH), "sign_of_b must be +1 or -1"),
+])
+def test_checks_refuse_with_their_own_messages(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

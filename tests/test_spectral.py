@@ -642,11 +642,40 @@ def test_join_pst_condition_cases():
     assert hit.holds and hit.Delta == pytest.approx(8.0)
     miss = join_pst_condition(1, 3, 2, 4, 2)
     assert not miss.holds
+    # the second branch: Delta = 6 = D (mod 2D) and k1 + k2 = 4 = 2D (mod 4D) at D = 2
+    second = join_pst_condition(1, 3, 2, 16, 2)
+    assert (second.holds, second.branch, second.Delta) == (True, 2, 6.0)
+    for seed in (1, 2, 3):
+        join = signed_join(complete(2), random_regular(16, 3, seed=seed), -1, 1)
+        assert abs(amplitude(join, 0, 1, math.pi / 2).fidelity - 1.0) < 1e-9
+    third = join_pst_condition(1, 3, 2, 16, 3)
+    assert not third.holds and third.branch is None
     with pytest.raises(ValueError):
         join_pst_condition(1, 1, 2, 2, 0)
     # plain unsigned edge-join: no qualifying cubic graph up to n = 200
     assert not any(unsigned_k2_join_condition(3, n).holds
                    for n in range(4, 201))
+
+
+def test_bisection_alone_closes_brackets_as_the_float_probe_does(monkeypatch):
+    # with no float probed around a converged Newton point, the closing
+    # bisection narrows every bracket alone, to the same 12-decimal verdicts
+    rng = np.random.default_rng(29)
+    cases = [(hypercube(4), 0, 15), (cycle(6), 0, 3), (complete(2), 0, 1),
+             (random_signed(rng, 7), 0, 6)]
+    calls = []
+    slope = spectral._fidelity_slope
+    monkeypatch.setattr(spectral, "_fidelity_slope", lambda *args: calls.append(1) or slope(*args))
+
+    def lines():
+        calls.clear()
+        return [f"{v.kind} {v.time:.12f} {v.fidelity:.12f} {v.phase:.12f}"
+                for g, a, b in cases for v in pst_search(g, a, b, 5 * math.pi)]
+
+    probed, probed_calls = lines(), len(calls)
+    monkeypatch.setattr(spectral, "_PROBE", np.array([0]))
+    assert lines() == probed
+    assert len(calls) > probed_calls  # the bisection ran where the probe had closed brackets
 
 
 def test_join_conditions_are_exact_integer_tests():
