@@ -12,14 +12,16 @@ layer and negative edges across.
 Vertices are integers ``0..n-1`` throughout.  All graph values are
 immutable after construction (the backing arrays are marked read-only).
 
-Every graph value passes one complete check where its data enters.
-Matrices from outside the library are checked by :class:`SignedGraph`
-(also under :func:`from_net_matrix`, :func:`signed_union` and
-``cartesian_product``): shape, integer entries, symmetry, zero diagonal,
-signs of the counts and the simple-mode rules, at O(n^2).  Edges are
-checked by :func:`build_signed_graph`, edge by edge.  Values derived from
-a checked graph or built from checked parameters have those properties by
-construction, and are handed over by :func:`_graph_from_layers` unchecked.
+Every graph value, signed or weighted, passes one complete check where its
+data enters.  Matrices from outside the library get their class's O(n^2)
+check: :class:`SignedGraph` (also under :func:`from_net_matrix`,
+:func:`signed_union` and ``cartesian_product``) checks shape, integer entries,
+symmetry, zero diagonal, signs of the counts and the simple-mode rules, and
+:class:`WeightedGraph` shape and symmetry to 1e-12.  Edges are checked by
+:func:`build_signed_graph` edge by edge, weighted files line by line.  Values
+built from these or from checked parameters (switchings, parts, covers,
+powers, constructions, boson ladders, quotients) have those properties by
+construction, and are handed over by :func:`_handed_over` unchecked.
 """
 
 from __future__ import annotations
@@ -55,18 +57,6 @@ __all__ = [
     "read_signed_graph",
     "read_weighted_graph",
 ]
-
-
-_TILE = 128  # a tile and its mirror tile stay in cache during a transpose pass
-
-
-def _mirror_tiles(n: int) -> Iterator[tuple]:
-    """Slice pairs (i, j) of the square tiles on and above the diagonal of an
-    n x n matrix: blocks [i, j] and [j, i].T meet every entry with its mirror
-    once, with no n x n transposed temporary."""
-    for a in range(0, n, _TILE):
-        for b in range(a, n, _TILE):
-            yield slice(a, a + _TILE), slice(b, b + _TILE)
 
 
 def _require_integral(a: np.ndarray, name: str) -> None:
@@ -110,9 +100,7 @@ class SignedGraph:
         layers.setflags(write=False)
         object.__setattr__(self, "pos", layers[0])
         object.__setattr__(self, "neg", layers[1])
-        asymmetric = np.zeros(2, dtype=bool)
-        for i, j in _mirror_tiles(self.n):
-            asymmetric |= (layers[:, i, j] != layers[:, j, i].swapaxes(1, 2)).any(axis=(1, 2))
+        asymmetric = (layers != layers.swapaxes(1, 2)).any(axis=(1, 2))
         loops = layers.diagonal(axis1=1, axis2=2).any(axis=1)
         negative = layers.min(axis=(1, 2)) < 0
         for k, name in enumerate(("pos", "neg")):
@@ -163,19 +151,12 @@ class WeightedGraph:
         w = np.array(self.weights, dtype=float)
         if w.shape != (self.n, self.n):
             raise ValueError(f"weights must have shape ({self.n}, {self.n})")
-        scale = max(1.0, float(np.abs(w).max()))
-        w /= 2.0  # halved first: w + w.T and w - w.T overflow above ~9e307
-        gap = 0.0
-        for i, j in _mirror_tiles(self.n):
-            block, mirror = w[i, j], w[j, i].T
-            tile_gap = np.abs(block - mirror).max()
-            if gap == gap and not tile_gap <= gap:  # a NaN stays, as in one max over all
-                gap = tile_gap
-            np.add(block, mirror, out=block)  # on the diagonal, numpy buffers the overlap
-            if i != j:
-                mirror[...] = block
-        if gap > 0.5e-12 * scale:
-            raise ValueError("weights must be symmetric")
+        asymmetric = w != w.T  # NaN entries too: they are averaged, and accepted
+        if asymmetric.any():
+            half = w / 2.0  # halved first: w + w.T and w - w.T overflow above ~9e307
+            if np.abs(half - half.T).max() > 0.5e-12 * max(1.0, float(np.abs(w).max())):
+                raise ValueError("weights must be symmetric")
+            np.copyto(w, half + half.T, where=asymmetric)  # symmetric entries keep their bits
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -205,21 +186,31 @@ def _first_repeat(u: np.ndarray, v: np.ndarray, n: int) -> int:
     return int(order[1:][keys[order[1:]] == keys[order[:-1]]].min())
 
 
+def _handed_over(cls, **fields):
+    """The ``cls`` value on ``fields``, with no check run: for data the library
+    made itself from checked edges, lines, graphs or parameters, which holds by
+    construction what the check of ``cls`` asks (a property test holds each
+    caller to that).  Array fields are owned by the value and made read-only
+    here; a view's base must be made read-only first."""
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        if isinstance(field, np.ndarray):
+            field.setflags(write=False)
+        object.__setattr__(value, name, field)
+    return value
+
+
 def _graph_from_layers(layers: np.ndarray, mode: str) -> SignedGraph:
-    """The graph value on ``layers``, an owned int64 (2, n, n) array filled
-    from checked edges, a graph value or checked parameters, so symmetric,
-    loop-free, non-negative and (in simple mode) simple; a property test holds
-    each caller to that.  Only the vertex count and the mode are checked."""
+    """The graph value on ``layers``, an owned int64 (2, n, n) array, handed
+    over by :func:`_handed_over`; only the vertex count and the mode are
+    checked."""
     n = layers.shape[1]
     if n < 1:
         raise ValueError("a graph needs at least one vertex")
     if mode not in (SIMPLE, MULTIGRAPH):
         raise ValueError(f"unknown mode {mode!r}")
-    layers.setflags(write=False)
-    g = object.__new__(SignedGraph)
-    for field, value in (("n", n), ("pos", layers[0]), ("neg", layers[1]), ("mode", mode)):
-        object.__setattr__(g, field, value)
-    return g
+    layers.setflags(write=False)  # the base as well as the views handed over
+    return _handed_over(SignedGraph, n=n, pos=layers[0], neg=layers[1], mode=mode)
 
 
 def build_signed_graph(n: int, edges: Iterable[tuple], mode: str = SIMPLE) -> SignedGraph:
@@ -611,7 +602,7 @@ def _weighted_graph(source: str, n: int, triples) -> WeightedGraph:
         seen.add(key)
         w[u, v] = value
         w[v, u] = value
-    return WeightedGraph(n, w)
+    return _handed_over(WeightedGraph, n=n, weights=w)
 
 
 def _read_graph(path):

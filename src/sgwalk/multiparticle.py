@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .construct import _kronecker_sum
-from .core import SignedGraph, WeightedGraph, _require_unsigned, _simple_graph
+from .core import SignedGraph, WeightedGraph, _handed_over, _require_unsigned, _simple_graph
 from .spectral import PstVerdict, is_pst
 
 __all__ = [
@@ -175,9 +175,9 @@ def _lex_terms(n: int, k: int):
 
 
 def _hop_nets(adj: np.ndarray, k: int, bosons: bool) -> np.ndarray:
-    """Hop matrices of k particles on a stack of unsigned adjacencies,
-    (B, n, n) in, (B, S, S) out, over the lex-ordered k-subsets (fermions,
-    int64 signs) or k-multisets (bosons, float weights).
+    """Hop matrices of k particles on unsigned adjacencies, (..., n, n) in,
+    (..., S, S) out, over the lex-ordered k-subsets (fermions, int64 signs) or
+    k-multisets (bosons, float weights).
 
     Each hop u -> v is met once, from its lower state (v > u).  A fermion
     hop carries (-1)^(occupied sites strictly between u and v); a boson hop
@@ -193,22 +193,23 @@ def _hop_nets(adj: np.ndarray, k: int, bosons: bool) -> np.ndarray:
     np.add.at(occupied, (np.arange(count)[:, None], states), 1)
     at_or_below = np.cumsum(occupied, axis=1)  # particles on sites <= v
     term, q = _lex_terms(top, k), np.arange(k)
-    # hop[g, a, r, v]: in graph g, the particle at position r of state a hops to v
-    hop = (adj > 0)[:, states] & (np.arange(n) > states[..., None])
+    # hop[..., a, r, v]: the particle at position r of state a hops to v
+    hop = (adj > 0)[..., states, :] & (np.arange(n) > states[..., None])
     if bosons:
-        hop[:, :, 1:] &= (states[:, 1:] != states[:, :-1])[..., None]  # first particle on u
+        hop[..., 1:, :] &= (states[:, 1:] != states[:, :-1])[..., None]  # first particle on u
     else:
         hop &= (occupied == 0)[:, None]
-    ig, ia, r, v = np.nonzero(hop)
+    *ig, ia, r, v = np.nonzero(hop)
     u = states[ia, r]
     target = np.sort(np.where(q == r[:, None], v[:, None], states[ia]), axis=1)
     ib = count - 1 - term(target + q if bosons else target, q).sum(axis=1)
-    net = np.zeros((len(adj), count, count), dtype=float if bosons else np.int64)
+    net = np.zeros((*adj.shape[:-2], count, count), dtype=float if bosons else np.int64)
+    at, mirror = (*ig, ia, ib), (*ig, ib, ia)
     if bosons:
-        net[ig, ia, ib] = np.sqrt(occupied[ia, u] * (occupied[ia, v] + 1))
+        net[at] = np.sqrt(occupied[ia, u] * (occupied[ia, v] + 1))
     else:
-        net[ig, ia, ib] = 1 - 2 * ((at_or_below[ia, v] - at_or_below[ia, u]) % 2)
-    net[ig, ib, ia] = net[ig, ia, ib]
+        net[at] = 1 - 2 * ((at_or_below[ia, v] - at_or_below[ia, u]) % 2)
+    net[mirror] = net[at]
     return net
 
 
@@ -221,7 +222,7 @@ def exterior_power(g: SignedGraph, k: int) -> SignedGraph:
     permutation between the two sorted tuples).
     """
     _require_unsigned(g, "exterior_power")
-    return _simple_graph(_hop_nets(g.pos[None], k, False)[0])
+    return _simple_graph(_hop_nets(g.pos, k, False))
 
 
 def exterior_power_oracle(g: SignedGraph, k: int) -> WeightedGraph:
@@ -258,15 +259,15 @@ def symmetric_power(g: SignedGraph, k: int) -> SignedGraph:
     """Unsigned k-th symmetric power: same support as the exterior power,
     every edge positive."""
     _require_unsigned(g, "symmetric_power")
-    return _simple_graph(_hop_nets(g.pos[None], k, False)[0] != 0)
+    return _simple_graph(_hop_nets(g.pos, k, False) != 0)
 
 
 def boson_quotient(g: SignedGraph, k: int) -> WeightedGraph:
     """Weighted walk of k bosons on the k-multisets in lex order: a hop
     u -> v carries sqrt(a_u (a_v + 1)) for occupations a before the hop."""
     _require_unsigned(g, "boson_quotient")
-    net = _hop_nets(g.pos[None], k, True)[0]
-    return WeightedGraph(len(net), net)
+    net = _hop_nets(g.pos, k, True)  # each hop written with its mirror, zero diagonal
+    return _handed_over(WeightedGraph, n=len(net), weights=net)
 
 
 def boson_quotient_oracle(g: SignedGraph, k: int) -> WeightedGraph:

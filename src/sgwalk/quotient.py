@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import SignedGraph, WeightedGraph
+from .core import SignedGraph, WeightedGraph, _handed_over
 from .spectral import WalkAmplitude, _check_vertex, amplitude
 
 __all__ = [
@@ -237,7 +237,8 @@ def quotient(g: SignedGraph, p: Partition) -> QuotientGraph:
     closed = np.sign(ds) * np.sqrt(np.abs(ds * ds.T).astype(float))
     if np.abs(conjugated - closed).max() > 1e-12:
         raise RuntimeError("quotient entry rule mismatch beyond 1e-12")
-    return QuotientGraph(p.m, closed, p, profile)
+    # exactly symmetric: d[j,k] |cell j| = d[k,j] |cell k| gives both one sign
+    return _handed_over(QuotientGraph, n=p.m, weights=closed, partition=p, profile=profile)
 
 
 def coarsest_equitable(g: SignedGraph, seed: Optional[Partition] = None) -> Partition:

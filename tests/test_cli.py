@@ -411,25 +411,67 @@ def test_table_writer_memory_is_bounded_by_its_output():
     assert peak < 3 * len(text)
 
 
+# one case per construct family, with its vertex count
+_FAMILY_CASES = [
+    (["--family", "cycle", "--n", "5"], 5),
+    (["--family", "complete", "--n", "4"], 4),
+    (["--family", "path", "--n", "3"], 3),
+    (["--family", "hypercube", "--d", "3"], 8),
+    (["--family", "cocktail-party", "--parts", "4"], 8),
+    (["--family", "complete-bipartite", "--m", "3", "--n", "3"], 6),
+    (["--family", "petersen"], 10),
+    (["--family", "circulant", "--n", "24", "--conn", "1,2,3,12"], 24),
+    (["--family", "cubelike", "--d", "3", "--conn", "001,010,100"], 8),
+    (["--family", "join", "--neg", "k2", "--pos", "k4"], 6),
+]
+
+
 def test_construct_families_parse_back(capsys, tmp_path):
-    cases = [
-        (["--family", "cycle", "--n", "5"], 5),
-        (["--family", "complete", "--n", "4"], 4),
-        (["--family", "path", "--n", "3"], 3),
-        (["--family", "hypercube", "--d", "3"], 8),
-        (["--family", "cocktail-party", "--parts", "4"], 8),
-        (["--family", "complete-bipartite", "--m", "3", "--n", "3"], 6),
-        (["--family", "petersen"], 10),
-        (["--family", "circulant", "--n", "24", "--conn", "1,2,3,12"], 24),
-        (["--family", "cubelike", "--d", "3", "--conn", "001,010,100"], 8),
-        (["--family", "join", "--neg", "k2", "--pos", "k4"], 6),
-    ]
-    for extra, n in cases:
+    for extra, n in _FAMILY_CASES:
         target = tmp_path / "graph.txt"
         code = main(["construct", *extra, "--out", str(target)])
         assert code == 0
         assert read_signed_graph(target).n == n
     capsys.readouterr()
+
+
+def test_no_command_runs_a_matrix_check(capsys, tmp_path):
+    # files get the edge and line checks, and every other value a command
+    # makes is built by the library itself: neither class's O(n^2) check runs
+    square = write_square(tmp_path)
+    signed = tmp_path / "signed.txt"
+    signed.write_text("n 4\n0 1 +1\n1 2 -1\n2 3 +1\n0 3 +1\n")
+    weighted = tmp_path / "weighted.txt"
+    weighted.write_text("n 3\n0 1 0.5\n1 2 -1.5\n2 2 2\n")
+    cells = tmp_path / "cells.txt"
+    cells.write_text("0 2\n1 3\n")
+    runs = [[command, str(graph), "--from", "0", "--to", "2", *extra]
+            for graph in (signed, weighted)
+            for command, *extra in (("walk", "--time", "pi/2"), ("pst-search", "--t-max", "pi"),
+                                    ("fidelity-curve", "--t-max", "pi", "--points", "5"))]
+    runs += [["quotient", square], ["quotient", square, "--cells", "0,2;1,3"],
+             ["quotient", square, "--partition", str(cells)],
+             *([power, square, "--k", "2"] for power in ("exterior", "symmetric", "boson")),
+             ["double-cover", str(signed)], ["balance", str(signed)],
+             *(["construct", *extra] for extra, _ in _FAMILY_CASES)]
+    calls = []
+
+    def counting(cls):
+        check = cls.__post_init__
+
+        def counted(self):
+            calls.append(cls.__name__)
+            check(self)
+        return unittest.mock.patch.object(cls, "__post_init__", counted)
+
+    checks = {}
+    with counting(core.SignedGraph), counting(core.WeightedGraph):
+        for argv in runs:
+            before = len(calls)
+            assert main(argv) == 0, argv
+            checks[" ".join(argv)] = calls[before:]
+    capsys.readouterr()
+    assert checks == dict.fromkeys(checks, [])
 
 
 def test_construct_join_matches_library(capsys, tmp_path):

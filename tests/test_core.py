@@ -1,5 +1,6 @@
 """Signed-graph container, balance, switching and edge-list I/O."""
 
+import dataclasses
 import itertools
 import re
 import warnings
@@ -17,22 +18,28 @@ from sgwalk import (
     SignedGraph,
     WeightedGraph,
     balance_verdict,
+    boson_quotient,
+    boson_quotient_oracle,
     build_signed_graph,
     cartesian_product,
     circulant,
+    coarsest_equitable,
     cocktail_party,
     complement,
     complete_bipartite,
     cubelike,
     double_cover,
     exterior_power,
+    exterior_power_oracle,
     format_edge_list,
     from_net_matrix,
     graph_edges,
     hypercube,
     is_connected,
     negative_part,
+    partition_from_cell_of,
     positive_part,
+    quotient,
     read_signed_graph,
     read_weighted_graph,
     signed_join,
@@ -560,6 +567,90 @@ def test_derived_and_constructed_graphs_skip_the_full_check_it_would_accept(case
     assert checks == dict.fromkeys(checks, 0)
     for g in values.values():
         assert_handed_over_intact(g)
+
+
+_WEIGHTS = st.one_of(
+    st.sampled_from([-2.5, 0.5, 3.0, 1e308, -1.7e308, 5e-324, -5e-324, 1.5e-323,
+                     2.2250738585072014e-308, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def weighted_values(draw):
+    """(name, thunk) pairs for every weighted value the library builds itself:
+    boson ladders of an unsigned graph and quotients of coarsest equitable
+    partitions, unseeded and seeded by a singleton, of a signed simple graph
+    and a signed multigraph; and the text of a weighted file with negative,
+    huge, subnormal and diagonal weights."""
+    n = draw(st.integers(1, 6))
+    unsigned = drawn_graph(draw, n, SIMPLE, (1,))
+    signed = drawn_graph(draw, n, SIMPLE, (1, -1))
+    multi = drawn_graph(draw, n, MULTIGRAPH, (1, -1))
+    k = draw(st.integers(1, 3))
+    a = draw(st.integers(0, n - 1))
+    seed = partition_from_cell_of([int(v != a) for v in range(n)])
+    entries = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _WEIGHTS),
+                            max_size=12, unique_by=lambda e: (min(e[:2]), max(e[:2]))))
+    text = "".join([f"n {n}\n"] + [f"{u} {v} {w!r}\n" for u, v, w in entries])
+    return [
+        ("boson_quotient", lambda: boson_quotient(unsigned, k)),
+        ("quotient", lambda: quotient(signed, coarsest_equitable(signed))),
+        ("seeded quotient", lambda: quotient(signed, coarsest_equitable(signed, seed))),
+        ("quotient of a multigraph", lambda: quotient(multi, coarsest_equitable(multi))),
+        ("seeded quotient of a multigraph",
+         lambda: quotient(multi, coarsest_equitable(multi, seed))),
+    ], text, unsigned
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(weighted_values())
+def test_built_weighted_values_skip_the_check_it_would_accept(tmp_path_factory, case):
+    made, text, unsigned = case
+    target = tmp_path_factory.getbasetemp() / "weighted.txt"
+    target.write_text(text)
+    made.append(("read_weighted_graph", lambda: read_weighted_graph(target)))
+    calls = []
+    full_check = WeightedGraph.__post_init__  # QuotientGraph's too
+
+    def counted(self):
+        calls.append(self)
+        full_check(self)
+
+    with mock.patch.object(WeightedGraph, "__post_init__", counted):
+        values, checks = {}, {}
+        for name, make in made:
+            before = len(calls)
+            values[name] = make()
+            checks[name] = len(calls) - before
+        # matrices from outside the library, the oracles and a replaced
+        # quotient still get it, once per value
+        quot = values["seeded quotient"]
+        for make in (lambda: WeightedGraph(quot.n, quot.weights),
+                     lambda: boson_quotient_oracle(unsigned, 2),
+                     lambda: exterior_power_oracle(unsigned, 1),
+                     lambda: dataclasses.replace(quot)):
+            before = len(calls)
+            make()
+            assert len(calls) == before + 1
+    assert checks == dict.fromkeys(checks, 0)
+    for g in values.values():
+        w = g.weights
+        assert w.dtype == np.float64 and w.flags.owndata and not w.flags.writeable
+        assert w.tobytes() == WeightedGraph(g.n, w.copy()).weights.tobytes()
+
+
+@pytest.mark.parametrize("x", [5e-324, -5e-324, 1.5e-323, 2.2250738585072014e-308,
+                               1.7e308, -1.7e308])
+def test_symmetric_weights_keep_their_bits(tmp_path, x):
+    w = np.array([[0.5, x], [x, 0.0]])
+    assert WeightedGraph(2, w).weights.tobytes() == w.tobytes()
+    source = tmp_path / "source.txt"
+    source.write_text(f"n 2\n0 1 {x!r}\n0 0 0.5\n")
+    read = read_weighted_graph(source)
+    assert read.weights.tobytes() == w.tobytes()
+    assert format_edge_list(read) == f"n 2\n0 0 0.5\n0 1 {x:.15g}\n"
+    write_edge_list(read, source)
+    assert read_weighted_graph(source).weights[0, 1] == float(f"{x:.15g}")
 
 
 @pytest.mark.parametrize("name, make", [
