@@ -57,7 +57,7 @@ from .scenarios import (
     run_all_scenarios,
     run_scenario,
 )
-from .spectral import DEFAULT_TOL, _check_vertex, amplitude, amplitude_series, pst_search
+from .spectral import DEFAULT_TOL, _check_vertex, _fidelity, amplitude, amplitude_series, pst_search
 
 
 class UsageError(Exception):
@@ -492,10 +492,7 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
         raise UsageError("--points must be at least 2")
     ts = np.linspace(0.0, t_max, args.points)
     amps = amplitude_series(graph, args.src, args.dst, ts)
-    # abs(z) ** 2 bit for bit: abs is hypot, and ** 2 of a scalar is pow,
-    # which float_power calls and an array's ** 2 (x * x) is not
-    fidelity = np.float_power(np.hypot(amps.real, amps.imag), 2)
-    _emit_table(args, ("t", "re", "im", "fidelity"), [ts, amps.real, amps.imag, fidelity])
+    _emit_table(args, ("t", "re", "im", "fidelity"), [ts, amps.real, amps.imag, _fidelity(amps)])
     return 0
 
 

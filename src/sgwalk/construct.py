@@ -17,6 +17,7 @@ from .core import (
     MULTIGRAPH,
     SIMPLE,
     SignedGraph,
+    _edge_view,
     _graph_from_layers,
     _require_unsigned,
     _simple_graph,
@@ -134,21 +135,21 @@ def cartesian_product(factors: Sequence[SignedGraph]) -> SignedGraph:
     """
     if not factors:
         raise ValueError("cartesian product needs at least one factor")
-    return from_net_matrix(_kronecker_sum([g.adjacency for g in factors]))
+    return from_net_matrix(_kronecker_sum(factors))
 
 
-def _kronecker_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker sum of square integer matrices, the first one the most
-    significant digit: entry (p, q) of factor i is added at (b + p * low,
+def _kronecker_sum(factors: Sequence[SignedGraph]) -> np.ndarray:
+    """Kronecker sum of the net adjacencies of signed graphs, the first one the
+    most significant digit: entry (p, q) of factor i is added at (b + p * low,
     b + q * low) for every index b whose digit i, of place value low, is 0."""
-    sizes = [m.shape[0] for m in mats]
+    sizes = [g.n for g in factors]
     total = math.prod(sizes)
     out = np.zeros((total, total), dtype=np.int64)
-    for i, m in enumerate(mats):
+    for i, g in enumerate(factors):
         low = math.prod(sizes[i + 1:])
         base = np.flatnonzero(np.arange(total) // low % sizes[i] == 0)[:, None]
-        p, q = np.nonzero(m)
-        out[base + p * low, base + q * low] += m[p, q]
+        p, q, (pos, neg) = _edge_view(g)
+        out[base + p * low, base + q * low] += pos - neg
     return out
 
 

@@ -12,6 +12,10 @@ layer and negative edges across.
 Vertices are integers ``0..n-1`` throughout.  All graph values are
 immutable after construction (the backing arrays are marked read-only).
 
+A graph's edges come from one place, :func:`_edge_view`, made once per graph
+value: the writer, connectivity, balance, Cartesian products and the quotient
+refinement all read it, and none walks n x n rows.
+
 Every graph value, signed or weighted, passes one complete check where its
 data enters.  Matrices from outside the library get their class's O(n^2)
 check: :class:`SignedGraph` (also under :func:`from_net_matrix`,
@@ -27,6 +31,7 @@ construction, and are handed over by :func:`_handed_over` unchecked.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -352,42 +357,45 @@ class BalanceVerdict:
     also_antibalanced: bool = False
 
 
-def _search_tree(net: np.ndarray):
-    """Breadth-first search tree from vertex 0 over the non-zero entries of ``net``.
+_EDGE_VIEWS = weakref.WeakKeyDictionary()
 
-    Returns d and alt: d[v] is the product of the entries of ``net`` along
-    the tree path 0 -> v (0 where v is unreached), alt[v] is (-1)^depth.
-    """
-    n = net.shape[0]
-    d = np.zeros(n, dtype=np.int64)
-    alt = np.zeros(n, dtype=np.int64)
+
+def _edge_view(g) -> tuple:
+    """The non-zero entries of a graph's matrix (both halves, and a weighted
+    diagonal) in row-major order, as read-only (rows, cols, values): the (2, E)
+    positive and negative multiplicities, or the (E,) weights.  One flat scan
+    of the support per graph value, kept in a weak cache."""
+    if g not in _EDGE_VIEWS:
+        w = None if isinstance(g, SignedGraph) else np.asarray(g.adjacency).ravel()
+        at = np.flatnonzero(g.support if w is None else w != 0)  # bool: a quarter of int64's time
+        values = np.stack((g.pos.ravel()[at], g.neg.ravel()[at])) if w is None else w[at]
+        _EDGE_VIEWS[g] = view = (*np.divmod(at, g.n), values)
+        for a in view:
+            a.setflags(write=False)
+    return _EDGE_VIEWS[g]
+
+
+def _search_tree(g, net=None):
+    """Breadth-first search tree from vertex 0 over :func:`_edge_view`, a new vertex's
+    parent its first neighbour in the level: d[v] is the product of ``net`` (one value
+    per entry, default 1) along the path 0 -> v, 0 if unreached; alt[v] is (-1)^depth."""
+    rows, cols, _ = _edge_view(g)
+    net = np.ones_like(rows) if net is None else net
+    d, alt = np.zeros((2, g.n), dtype=np.int64)
     d[0] = alt[0] = 1
-    level = np.array([0])
-    while level.size:
-        rows, v = np.nonzero(net[level])
-        rows, v = rows[d[v] == 0], v[d[v] == 0]
-        v, first = np.unique(v, return_index=True)  # one parent per new vertex
-        parent = level[rows[first]]
-        d[v] = d[parent] * net[parent, v]
-        alt[v] = -alt[level[0]]
-        level = v
+    level = np.arange(g.n) == 0
+    while level.any():  # a level masks all E entries: O(E) a level, in a few numpy calls
+        at = np.flatnonzero(level[rows] & (d[cols] == 0))
+        v, new = np.unique(cols[at], return_index=True)  # one parent per new vertex
+        d[v], alt[v] = d[rows[at[new]]] * net[at[new]], -alt[rows[at[new]]]
+        level = np.zeros(g.n, dtype=bool)
+        level[v] = True
     return d, alt
-
-
-def _upper_entries(mask: np.ndarray) -> tuple:
-    """The flat indices, rows and columns of the true entries of a square bool
-    matrix on and above its diagonal, in row-major order: what
-    ``np.nonzero(np.triu(mask))`` gives, from one flat scan of the mask."""
-    at = np.flatnonzero(mask)
-    uu, vv = np.divmod(at, mask.shape[0])
-    upper = uu <= vv
-    return at[upper], uu[upper], vv[upper]
 
 
 def is_connected(g) -> bool:
     """Connectivity of the underlying graph (any-sign edges count)."""
-    adj = g.support if isinstance(g, SignedGraph) else np.asarray(g.adjacency) != 0
-    return bool(_search_tree(adj)[0].all())
+    return bool(_search_tree(g)[0].all())
 
 
 def balance_verdict(g: SignedGraph) -> BalanceVerdict:
@@ -398,13 +406,13 @@ def balance_verdict(g: SignedGraph) -> BalanceVerdict:
     negative); the remaining edges decide.
     """
     _require_simple(g, "balance_verdict")
-    net = g.adjacency
-    d, alt = _search_tree(net)
+    rows, cols, (pos, neg) = _edge_view(g)
+    net = pos - neg
+    d, alt = _search_tree(g, net)
     if not d.all():
         raise ValueError("balance verdict requires a connected graph")
-    at, uu, vv = _upper_entries(net != 0)
-    product = d[uu] * net.ravel()[at] * d[vv]  # sign of each edge after switching by d
-    antibalanced = bool(np.all(product * alt[uu] * alt[vv] == -1))
+    product = d[rows] * net * d[cols]  # sign of each edge after switching by d
+    antibalanced = bool(np.all(product * alt[rows] * alt[cols] == -1))
     if np.all(product == 1):
         d.setflags(write=False)
         return BalanceVerdict("balanced", d, also_antibalanced=antibalanced)
@@ -455,14 +463,14 @@ def signed_union(a: SignedGraph, b: SignedGraph, sign_of_b: int = 1,
 
 def _edge_columns(g) -> tuple:
     """The u, v and sign (or weight) columns of the lines of :func:`graph_edges`."""
+    rows, cols, values = _edge_view(g)
+    upper = rows <= cols
+    uu, vv, values = rows[upper], cols[upper], values[..., upper]
     if isinstance(g, SignedGraph):
-        at, uu, vv = _upper_entries(g.support)
-        counts = np.stack((g.pos.ravel()[at], g.neg.ravel()[at]), axis=1).ravel()  # +1 first
+        counts = values.T.ravel()  # +1 first
         return (np.repeat(np.repeat(uu, 2), counts), np.repeat(np.repeat(vv, 2), counts),
                 np.repeat(np.tile([1, -1], len(uu)), counts))
-    w = g.adjacency
-    at, uu, vv = _upper_entries(w != 0)
-    return uu, vv, w.ravel()[at]
+    return uu, vv, values
 
 
 def graph_edges(g) -> Iterator[tuple]:
@@ -493,8 +501,12 @@ def _format_rows(row: str, columns) -> Iterator[str]:
 
 
 def format_edge_list(g) -> str:
-    row = "%d %d %+d" if isinstance(g, SignedGraph) else "%d %d %.15g"
-    return f"n {g.n}\n" + "".join(_format_rows(row, _edge_columns(g)))
+    u, v, w = _edge_columns(g)
+    row = "%d %d %+d"
+    if not isinstance(g, SignedGraph):  # %r: a float's shortest text that reads back
+        row, integral, w = "%d %d %r", (w == np.rint(w)) & (np.abs(w) < 1e16), w.astype(object)
+        w[integral] = w[integral].astype(np.int64)  # integral weights print with no ".0"
+    return f"n {g.n}\n" + "".join(_format_rows(row, (u, v, w)))
 
 
 def write_edge_list(g, path) -> None:
@@ -577,9 +589,10 @@ def _signed_graph(source: str, n: int, triples, mode: Optional[str]) -> SignedGr
             edges = np.array((us, vs, signs), dtype=np.int64).T
         except OverflowError:  # a vertex beyond int64: the error message quotes it
             edges, mode = list(zip(us, vs, signs)), mode or MULTIGRAPH
-    if mode is None:
-        mode = MULTIGRAPH if _first_repeat(edges[:, 0], edges[:, 1], n) < len(edges) else SIMPLE
-    return build_signed_graph(n, edges, mode)
+    if mode is None and _first_repeat(edges[:, 0], edges[:, 1], n) == len(edges):
+        g = build_signed_graph(n, edges, MULTIGRAPH)  # no pair repeats: its layers are simple
+        return _handed_over(SignedGraph, n=n, pos=g.pos, neg=g.neg, mode=SIMPLE)
+    return build_signed_graph(n, edges, MULTIGRAPH if mode is None else mode)
 
 
 def _weighted_graph(source: str, n: int, triples) -> WeightedGraph:

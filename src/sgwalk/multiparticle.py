@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .construct import _kronecker_sum
-from .core import SignedGraph, WeightedGraph, _handed_over, _require_unsigned, _simple_graph
+from .core import (SignedGraph, WeightedGraph, _edge_view, _handed_over, _require_unsigned,
+                   _simple_graph)
 from .spectral import PstVerdict, is_pst
 
 __all__ = [
@@ -159,7 +160,7 @@ def symmetrizer(n: int, k: int) -> np.ndarray:
 def cartesian_power_matrix(g: SignedGraph, k: int) -> np.ndarray:
     """Adjacency of the k-fold Cartesian power as a Kronecker sum."""
     _check_states("n^k", g.n ** k)
-    return _kronecker_sum([g.adjacency] * k)
+    return _kronecker_sum([g] * k)
 
 
 def _lex_terms(n: int, k: int):
@@ -287,16 +288,15 @@ def boson_formula_comparison(g: SignedGraph, k: int) -> list:
     mean the closed form reproduces the conjugated ladder.
     """
     states = multiset_states(g.n, k)
-    ladder = boson_quotient(g, k).weights
+    rows, cols, weights = _edge_view(boson_quotient(g, k))
     occupation = np.zeros((len(states), g.n), dtype=np.int64)
     np.add.at(occupation, (np.arange(len(states))[:, None], np.array(states)), 1)
-    ia, ib = np.nonzero(np.triu(ladder, 1))
-    # each non-zero entry is one hop: a particle leaves u and lands on v
+    upper = rows < cols  # each entry above the diagonal is one hop: a particle leaves u for v
+    ia, ib, actual = rows[upper], cols[upper], weights[upper]
     moved = occupation[ia] - occupation[ib]
     a_u = occupation[ia, moved.argmax(axis=1)]
     a_v = occupation[ia, moved.argmin(axis=1)]
     guess = np.sqrt(np.maximum(0, (a_u - 1) * (a_v + 1)))
-    actual = ladder[ia, ib]
     miss = np.flatnonzero(np.abs(guess - actual) > 1e-9)
     return [(states[ia[i]], states[ib[i]], float(guess[i]), float(actual[i])) for i in miss]
 

@@ -10,18 +10,20 @@ matrix B with
 (zero when the signed degree vanishes), which equals Q^T A Q for the
 normalised partition indicator Q.  Walks commute with Q Q^T, so
 amplitudes between singleton cells survive the quotient exactly.
+
+A partition is its vector of cell numbers.  Counts come from the graph's edge
+view (``core._edge_view``); the refinement works on label vectors.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import SignedGraph, WeightedGraph, _handed_over
+from .core import SignedGraph, WeightedGraph, _edge_view, _handed_over
 from .spectral import WalkAmplitude, _check_vertex, amplitude
 
 __all__ = [
@@ -46,12 +48,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Ordered partition of 0..n-1 into non-empty cells."""
+    """Ordered partition of 0..n-1 into non-empty cells, given by the cell
+    number ``cell_of[v]`` of each vertex: cells are numbered 0..m-1, none
+    empty, and cell j holds the vertices numbered j, in ascending order."""
 
-    cells: tuple
     cell_of: np.ndarray
 
     def __post_init__(self):
+        labels = np.array(self.cell_of)
+        kinds = np.unique(labels) if labels.ndim == 1 and labels.dtype.kind in "iu" else None
+        if kinds is None or np.any(kinds != np.arange(len(kinds))):
+            raise ValueError("cell_of must be a 1-D integer array numbering its cells 0..m-1")
+        object.__setattr__(self, "cell_of", labels.astype(np.int64))
         self.cell_of.setflags(write=False)
 
     @property
@@ -60,15 +68,21 @@ class Partition:
 
     @property
     def m(self) -> int:
-        return len(self.cells)
+        return int(self.cell_of.max(initial=-1)) + 1
 
     def sizes(self) -> np.ndarray:
-        return np.array([len(c) for c in self.cells], dtype=np.int64)
+        return np.bincount(self.cell_of)
+
+    @property
+    def cells(self) -> tuple:
+        members = np.argsort(self.cell_of, kind="stable").tolist()
+        ends = np.cumsum(self.sizes()).tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def partition_from_cells(cells: Iterable[Sequence[int]], n: Optional[int] = None) -> Partition:
     """Build a partition from explicit cells (kept in the given order)."""
-    normalized = tuple(tuple(sorted(int(v) for v in cell)) for cell in cells)
+    normalized = [[int(v) for v in cell] for cell in cells]
     if any(len(cell) == 0 for cell in normalized):
         raise ValueError("cells must be non-empty")
     flat = [v for cell in normalized for v in cell]
@@ -76,11 +90,9 @@ def partition_from_cells(cells: Iterable[Sequence[int]], n: Optional[int] = None
         n = max(flat) + 1 if flat else 0
     if sorted(flat) != list(range(n)):
         raise ValueError(f"cells must partition 0..{n - 1} exactly")
-    cell_of = np.zeros(n, dtype=np.int64)
-    for j, cell in enumerate(normalized):
-        for v in cell:
-            cell_of[v] = j
-    return Partition(normalized, cell_of)
+    cell_of = np.empty(n, dtype=np.int64)
+    cell_of[flat] = np.repeat(np.arange(len(normalized)), [len(cell) for cell in normalized])
+    return _handed_over(Partition, cell_of=cell_of)
 
 
 def partition_from_cell_of(cell_of: Sequence[int]) -> Partition:
@@ -90,13 +102,8 @@ def partition_from_cell_of(cell_of: Sequence[int]) -> Partition:
     if vec.ndim != 1 or vec.dtype.kind not in "iu":
         vec = np.array([int(c) for c in cell_of])  # as int() reads them, any size
     _, first, inverse = np.unique(vec, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    labels = rank[inverse.reshape(-1)]
-    members = np.argsort(labels, kind="stable").tolist()  # cell by cell, ascending
-    ends = np.cumsum(np.bincount(labels, minlength=len(first))).tolist()
-    cells = tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
-    return Partition(cells, labels)
+    rank = np.argsort(np.argsort(first))  # of each cell's first vertex
+    return _handed_over(Partition, cell_of=rank[inverse.reshape(-1)])
 
 
 def discrete_partition(n: int) -> Partition:
@@ -151,33 +158,13 @@ class EquitableProfile:
         return self.d_plus - self.d_minus
 
 
-_EDGE_SCANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _edge_scan(g: SignedGraph) -> list:
-    """Each layer's edges, each direction once, as arrays (v, u, multiplicity):
-    the one read of the n x n layers that a count needs, made once per graph
-    value (later calls return the same read-only arrays)."""
-    scan = _EDGE_SCANS.get(g)
-    if scan is None:
-        scan = []
-        for layer in (g.pos.ravel(), g.neg.ravel()):
-            at = np.flatnonzero(layer != 0)  # a flat bool scan: a quarter of int64 nonzero's time
-            v, u = np.divmod(at, g.n)
-            scan.append((v, u, layer[at]))
-            for a in scan[-1]:
-                a.setflags(write=False)
-        _EDGE_SCANS[g] = scan
-    return scan
-
-
-def _cell_counts(edges: list, p: Partition) -> np.ndarray:
-    """Row v: the positive, then the negative neighbour counts of v in
-    each cell of ``p`` (shape n x 2m), from :func:`_edge_scan`'s edges."""
-    counts = np.zeros((p.n, 2, p.m), dtype=np.int64)
-    for layer, (v, u, multiplicity) in enumerate(edges):
-        np.add.at(counts[:, layer], (v, p.cell_of[u]), multiplicity)
-    return counts.reshape(p.n, 2 * p.m)
+def _cell_counts(g: SignedGraph, labels: np.ndarray, m: int) -> np.ndarray:
+    """Row v: the positive, then the negative neighbour counts of v in each
+    of the m cells of ``labels`` (shape n x 2m), from the graph's edge view."""
+    rows, cols, layers = _edge_view(g)
+    counts = np.zeros(len(labels) * 2 * m, dtype=np.int64)
+    np.add.at(counts, rows * (2 * m) + labels[cols] + [[0], [m]], layers)
+    return counts.reshape(len(labels), 2 * m)
 
 
 def is_equitable(g: SignedGraph, p: Partition):
@@ -187,9 +174,8 @@ def is_equitable(g: SignedGraph, p: Partition):
     """
     if p.n != g.n:
         raise ValueError("partition size does not match the graph")
-    counts = _cell_counts(_edge_scan(g), p)
-    _, first = np.unique(p.cell_of, return_index=True)  # first vertex of each cell
-    rows = counts[first]
+    counts = _cell_counts(g, p.cell_of, p.m)
+    rows = counts[np.unique(p.cell_of, return_index=True)[1]]  # each cell's first vertex
     if np.any(counts != rows[p.cell_of]):
         return False, None
     return True, EquitableProfile(rows[:, :p.m].copy(), rows[:, p.m:].copy())
@@ -230,9 +216,9 @@ def quotient(g: SignedGraph, p: Partition) -> QuotientGraph:
     ok, profile = is_equitable(g, p)
     if not ok:
         raise ValueError("partition is not equitable")
-    pairs = p.m * p.m
-    net = [np.bincount(p.cell_of[v] * p.m + p.cell_of[u], w, pairs) for v, u, w in _edge_scan(g)]
-    conjugated = (net[0] - net[1]).reshape(p.m, p.m) / np.sqrt(np.outer(p.sizes(), p.sizes()))
+    rows, cols, (pos, neg) = _edge_view(g)
+    net = np.bincount(p.cell_of[rows] * p.m + p.cell_of[cols], pos - neg, p.m * p.m)
+    conjugated = net.reshape(p.m, p.m) / np.sqrt(np.outer(p.sizes(), p.sizes()))
     ds = profile.d_signed
     closed = np.sign(ds) * np.sqrt(np.abs(ds * ds.T).astype(float))
     if np.abs(conjugated - closed).max() > 1e-12:
@@ -248,20 +234,19 @@ def coarsest_equitable(g: SignedGraph, seed: Optional[Partition] = None) -> Part
     signatures against the current cells; new cells are numbered as
     their smallest vertices appear, so the refinement is deterministic.
     """
-    part = seed if seed is not None else single_cell_partition(g.n)
-    if part.n != g.n:
+    seed = single_cell_partition(g.n) if seed is None else seed
+    if seed.n != g.n:
         raise ValueError("seed partition size does not match the graph")
-    edges = _edge_scan(g)
+    labels, m = seed.cell_of, seed.m
     while True:
-        signatures = np.column_stack([part.cell_of, _cell_counts(edges, part)])
+        signatures = np.column_stack([labels, _cell_counts(g, labels, m)])
         # one opaque item per row: only equality matters, as cells are
-        # renumbered by their first vertex
+        # renumbered by their first vertex once they are stable
         rows = signatures.view(np.dtype((np.void, signatures.strides[0]))).ravel()
-        _, new_cell_of = np.unique(rows, return_inverse=True)
-        refined = partition_from_cell_of(new_cell_of.reshape(-1))
-        if refined.m == part.m:
-            return refined
-        part = refined
+        kinds, refined = np.unique(rows, return_inverse=True)
+        if len(kinds) == m:
+            return partition_from_cell_of(labels)
+        labels, m = refined.reshape(-1), len(kinds)
 
 
 @dataclass(frozen=True)
@@ -283,7 +268,7 @@ def quotient_transfer_check(g: SignedGraph, p: Partition, a: int, b: int,
     """
     a, b = _check_vertex("a", a, g.n), _check_vertex("b", b, g.n)
     ca, cb = int(p.cell_of[a]), int(p.cell_of[b])
-    if len(p.cells[ca]) != 1 or len(p.cells[cb]) != 1:
+    if (p.sizes()[[ca, cb]] != 1).any():
         raise ValueError("transfer endpoints must be singleton cells")
     full = amplitude(g, a, b, t)
     reduced = amplitude(quotient(g, p), ca, cb, t)

@@ -891,7 +891,8 @@ def test_power_subcommands(capsys, tmp_path):
     assert "# state 0 = (0, 1)" in out
     code, out, _ = run(capsys, "boson", write_k2(tmp_path), "--k", "2")
     assert code == 0
-    assert "1.4142135623731" in out  # sqrt(2), correctly rounded to 15 digits
+    # sqrt(2), in the shortest text that reads back to it exactly
+    assert "\n0 1 1.4142135623730951\n" in out and float("1.4142135623730951") == math.sqrt(2)
     code, _, err = run(capsys, "exterior",
                        write_square(tmp_path, signs=(-1, 1, 1, 1)), "--k", "2")
     assert code == 3  # signed base graph is outside the fermionic domain

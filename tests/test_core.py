@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -316,9 +317,14 @@ def test_graph_payload_lists_the_edge_lines(g):
     want = list(reference_edges(g))
     got = list(graph_edges(g))
     assert got == want and [tuple(map(type, e)) for e in got] == [tuple(map(type, e)) for e in want]
-    spec = "+d" if isinstance(g, SignedGraph) else ".15g"
-    assert format_edge_list(g) == "\n".join([f"n {g.n}"] + [f"{u} {v} {w:{spec}}"
-                                                           for u, v, w in want]) + "\n"
+    def text(w):  # weights: the shortest text that reads back, integers without ".0"
+        if isinstance(g, SignedGraph):
+            return f"{w:+d}"
+        return repr(int(w) if w.is_integer() and abs(w) < 1e16 else w)
+
+    lines = format_edge_list(g).split("\n")
+    assert lines == [f"n {g.n}"] + [f"{u} {v} {text(w)}" for u, v, w in want] + [""]
+    assert [float(line.split()[2]) for line in lines[1:-1]] == [w for _, _, w in want]
     # weights print rounded to 12 places, never as -0.0
     rows = [[u, v, w if isinstance(g, SignedGraph) else round(w, 12) + 0.0]
             for u, v, w in want]
@@ -648,9 +654,9 @@ def test_symmetric_weights_keep_their_bits(tmp_path, x):
     source.write_text(f"n 2\n0 1 {x!r}\n0 0 0.5\n")
     read = read_weighted_graph(source)
     assert read.weights.tobytes() == w.tobytes()
-    assert format_edge_list(read) == f"n 2\n0 0 0.5\n0 1 {x:.15g}\n"
+    assert format_edge_list(read) == f"n 2\n0 0 0.5\n0 1 {x!r}\n"
     write_edge_list(read, source)
-    assert read_weighted_graph(source).weights[0, 1] == float(f"{x:.15g}")
+    assert read_weighted_graph(source).weights.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("name, make", [
@@ -807,10 +813,31 @@ def reference_columns(g):
     return uu, vv, w[uu, vv]
 
 
+def dense_search_tree(net):
+    """Breadth-first search tree from vertex 0 over the non-zero entries of
+    ``net``, row by row: d[v] is the product of the entries of ``net`` along
+    the tree path 0 -> v (0 where v is unreached), alt[v] is (-1)^depth."""
+    n = net.shape[0]
+    d = np.zeros(n, dtype=np.int64)
+    alt = np.zeros(n, dtype=np.int64)
+    d[0] = alt[0] = 1
+    level = np.array([0])
+    while level.size:
+        rows, v = np.nonzero(net[level])
+        rows, v = rows[d[v] == 0], v[d[v] == 0]
+        v, first = np.unique(v, return_index=True)  # one parent per new vertex
+        parent = level[rows[first]]
+        d[v] = d[parent] * net[parent, v]
+        alt[v] = -alt[level[0]]
+        level = v
+    return d, alt
+
+
 def reference_balance(g):
-    """:func:`balance_verdict` through the 2-D ``nonzero(triu(net))`` it used."""
+    """:func:`balance_verdict` through the n x n search and the 2-D
+    ``nonzero(triu(net))`` it used."""
     net = g.adjacency
-    d, alt = core._search_tree(net)
+    d, alt = dense_search_tree(net)
     uu, vv = np.nonzero(np.triu(net))
     product = d[uu] * net[uu, vv] * d[vv]
     antibalanced = bool(np.all(product * alt[uu] * alt[vv] == -1))
@@ -852,6 +879,81 @@ def test_edge_enumerations_match_the_2d_triu_scan(n):
             verdict = balance_verdict(h)
             witness = None if verdict.witness is None else verdict.witness.tolist()
             assert (verdict.status, witness, verdict.also_antibalanced) == reference_balance(h)
+
+
+@st.composite
+def edge_view_graphs(draw):
+    """Signed simple graphs and multigraphs on 1-40 vertices, connected (a
+    drawn spanning tree under the other edges) or not, with random signs or a
+    switching of one sign, and weighted graphs with negative and diagonal
+    weights."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from((SIMPLE, MULTIGRAPH, "weighted")))
+    vertex = st.integers(0, n - 1)
+    tree = draw(st.sampled_from((True, True, False)))
+    pairs = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)] if tree else []
+    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    if kind == "weighted":
+        w = np.zeros((n, n))
+        for (u, v), x in zip(pairs, draw(st.lists(_WEIGHTS, min_size=len(pairs),
+                                                  max_size=len(pairs)))):
+            w[u, v] = w[v, u] = x
+        return WeightedGraph(n, w)
+    pairs = [(u, v) for u, v in pairs if u != v]
+    if kind == SIMPLE:
+        pairs = list({(min(u, v), max(u, v)): None for u, v in pairs})
+    signs = draw(st.sampled_from(("random", 1, -1)))
+    g = build_signed_graph(n, [(u, v, draw(st.sampled_from((1, -1))) if signs == "random"
+                                else signs) for u, v in pairs], kind)
+    return switch(g, draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edge_view_graphs())
+def test_edge_view_readers_match_their_dense_references(g):
+    rows, cols, values = core._edge_view(g)
+    signed = isinstance(g, SignedGraph)
+    support = g.support if signed else g.weights != 0
+    want = np.nonzero(support)
+    assert rows.tolist() == want[0].tolist() and cols.tolist() == want[1].tolist()
+    layers = (g.pos, g.neg) if signed else (g.weights,)
+    assert values.reshape(len(layers), -1).tolist() == [layer[want].tolist() for layer in layers]
+    components = scipy.sparse.csgraph.connected_components(support, directed=False)[0]
+    assert is_connected(g) == (components == 1)
+    if not signed:
+        return
+    if g.mode == MULTIGRAPH:
+        with pytest.raises(ValueError, match="requires simple mode"):
+            balance_verdict(g)
+    elif components > 1:
+        with pytest.raises(ValueError, match="requires a connected graph"):
+            balance_verdict(g)
+    else:
+        verdict = balance_verdict(g)
+        witness = None if verdict.witness is None else verdict.witness.tolist()
+        assert (verdict.status, witness, verdict.also_antibalanced) == reference_balance(g)
+
+
+def test_reader_scans_a_file_for_repeated_pairs_once(tmp_path):
+    # the scan that picks the mode also settles simple mode's duplicate check
+    calls = []
+    scan = core._first_repeat
+
+    def counted(*args):
+        calls.append(1)
+        return scan(*args)
+
+    files = {SIMPLE: "n 4\n0 1 +1\n1 2 -1\n2 3 +1\n",  # the writer's form
+             MULTIGRAPH: "n 4\n0 1 +1\n1 0 -1\n2 3 1\n"}
+    for mode, text in files.items():
+        for given_text in (text, "# a comment\n" + text):  # and the per-line parser
+            target = tmp_path / "graph.txt"
+            target.write_text(given_text)
+            with mock.patch.object(core, "_first_repeat", counted):
+                g = read_signed_graph(target)
+            assert g.mode == mode and len(calls) == 1
+            calls.clear()
+            assert_handed_over_intact(g)
 
 
 def test_comments_and_blank_lines_are_ignored(tmp_path):

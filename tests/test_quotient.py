@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import tracemalloc
+import unittest.mock
 import weakref
 
 import numpy as np
@@ -14,15 +15,19 @@ from hypothesis import strategies as st
 from sgwalk import (
     MULTIGRAPH,
     EquitableProfile,
+    Partition,
     SignedGraph,
     amplitude,
+    balance_verdict,
     build_signed_graph,
     circulant,
     coarsest_equitable,
     complete,
     cycle,
     discrete_partition,
+    format_edge_list,
     hypercube,
+    is_connected,
     is_equitable,
     normalized_partition_matrix,
     partition_from_cell_of,
@@ -33,9 +38,11 @@ from sgwalk import (
     read_partition,
     signed_join,
     single_cell_partition,
+    switch,
     write_partition,
 )
 
+core = importlib.import_module("sgwalk.core")
 quotient_module = importlib.import_module("sgwalk.quotient")
 
 
@@ -56,6 +63,29 @@ def test_partition_constructors_and_validation():
         partition_from_cells([[0], [2]], n=3)  # vertex 1 missing
     with pytest.raises(ValueError):
         partition_from_cells([[0], []], n=1)  # empty cell
+
+
+def test_partition_is_its_cell_numbers():
+    # one representation: cells, m and sizes all come from cell_of, so a
+    # partition whose cells and labels disagree cannot be made
+    g = edge_join()
+    p = Partition(np.array([0, 0, 1, 1, 1, 1]))
+    assert p.cells == ((0, 1), (2, 3, 4, 5)) and p.m == 2 and p.sizes().tolist() == [2, 4]
+    assert p.cell_of.dtype == np.int64 and not p.cell_of.flags.writeable
+    ok, profile = is_equitable(g, p)
+    assert ok and profile.d_plus.shape == (2, 2)
+    q = normalized_partition_matrix(p)
+    assert np.allclose(q.T @ q, np.eye(2))
+    assert quotient(g, p).matrix.shape == (2, 2)
+    with pytest.raises(TypeError):
+        Partition(((0,), (1,), (2, 3, 4, 5)), np.array([0, 0, 1, 1, 1, 1]))
+    # labels must be 1-D integers naming every cell 0..m-1
+    for bad in ([0, 5, 0], [-1, 0], [1, 1], [[0, 1]], [0.0, 1.0], [True, False],
+                np.array([2 ** 64 - 1], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="^cell_of must be a 1-D integer array"):
+            Partition(np.array(bad))
+    # a seed numbered 0, 5 is renumbered by partition_from_cell_of
+    assert coarsest_equitable(complete(3), partition_from_cell_of([0, 5, 0])).cells == ((0, 2), (1,))
 
 
 def test_partition_file_round_trip(tmp_path):
@@ -284,6 +314,49 @@ def unique_rows_refinement(g, seed):
         cell_of = refined
 
 
+@st.composite
+def refinement_cases(draw):
+    """A signed simple graph or multigraph on 1-40 vertices, connected (a drawn
+    spanning tree under the other edges) or not, and a seed: none, a
+    singleton or drawn labels."""
+    n = draw(st.integers(1, 40))
+    mode = draw(st.sampled_from(("simple", MULTIGRAPH)))
+    vertex = st.integers(0, n - 1)
+    pairs = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)] if draw(st.booleans()) else []
+    pairs += [(u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)) if u != v]
+    if mode == "simple":
+        pairs = list({(min(u, v), max(u, v)): None for u, v in pairs})
+    g = build_signed_graph(n, [(u, v, draw(st.sampled_from((1, -1)))) for u, v in pairs], mode)
+    seed = draw(st.sampled_from(("none", "singleton", "labels")))
+    if seed == "singleton":
+        a = draw(vertex)
+        return g, partition_from_cells([[a], [v for v in range(n) if v != a]] if n > 1 else [[a]])
+    if seed == "labels":
+        return g, partition_from_cell_of(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return g, None
+
+
+def assert_cells_match_labels(p):
+    assert p.cell_of.dtype == np.int64 and not p.cell_of.flags.writeable
+    assert p.cells == tuple(tuple(np.flatnonzero(p.cell_of == j).tolist()) for j in range(p.m))
+    assert p.sizes().tolist() == [len(cell) for cell in p.cells] and sum(p.sizes()) == p.n
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(refinement_cases())
+def test_refinement_and_quotient_read_the_edge_view(case):
+    g, seed = case
+    p = coarsest_equitable(g, seed)
+    start = [list(range(g.n))] if seed is None else list(seed.cells)
+    assert list(p.cells) == colour_refinement(g, start)
+    q = normalized_partition_matrix(p)
+    assert np.abs(quotient(g, p).matrix - q.T @ g.adjacency @ q).max() < 1e-12
+    # every partition the library builds keeps its cells and labels in step
+    for built in (p, *([] if seed is None else [seed]), discrete_partition(g.n),
+                  single_cell_partition(g.n), partition_from_cells(p.cells[::-1])):
+        assert_cells_match_labels(built)
+
+
 def test_coarsest_equitable_matches_unique_rows_refinement():
     rng = np.random.default_rng(2024)
     cases = []
@@ -325,15 +398,32 @@ def test_partition_from_cell_of_numbers_cells_by_first_vertex(labels):
 
 
 def test_quotient_reuses_the_refinements_edge_scan():
-    g = hypercube(4)
-    p = coarsest_equitable(g, partition_from_cells([[0], list(range(1, 16))]))
-    scan = quotient_module._edge_scan(g)
-    assert all(not a.flags.writeable for layer in scan for a in layer)
-    assert quotient_module._edge_scan(g) is scan
-    assert quotient(g, p).n == 5 and quotient_module._edge_scan(g) is scan
+    # one scan of the layers per graph value: the writer, balance,
+    # connectivity, the refinement and the quotient all read one edge view
+    g = switch(hypercube(6), np.random.default_rng(6).choice([1, -1], size=64))
+    reads = {"support": 0, "adjacency": 0}
+
+    def counting(name):
+        read = getattr(SignedGraph, name)
+
+        def counted(self):
+            reads[name] += 1
+            return read.fget(self)
+        return unittest.mock.patch.object(SignedGraph, name, property(counted))
+
+    with counting("support"), counting("adjacency"):
+        text = format_edge_list(g)
+        verdict = balance_verdict(g)
+        assert is_connected(g)
+        p = coarsest_equitable(g, partition_from_cells([[0], list(range(1, 64))]))
+        assert quotient(g, p).n == p.m
+    assert reads == {"support": 1, "adjacency": 0}
+    assert text.count("\n") == 1 + 192 and verdict.status == "balanced"
+    view = core._edge_view(g)
+    assert core._edge_view(g) is view and not any(a.flags.writeable for a in view)
     alive = weakref.ref(g)
     del g
-    assert alive() is None  # the scan does not keep its graph alive
+    assert alive() is None  # the view does not keep its graph alive
 
 
 def test_quotient_checks_the_closed_form_without_a_dense_matrix(monkeypatch):
