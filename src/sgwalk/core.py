@@ -14,7 +14,9 @@ immutable after construction (the backing arrays are marked read-only).
 
 A graph's edges come from one place, :func:`_edge_view`, made once per graph
 value: the writer, connectivity, balance, Cartesian products and the quotient
-refinement all read it, and none walks n x n rows.
+refinement all read it, and none walks n x n rows.  A value built from an edge
+array (files in the writer's form, random regular graphs) makes its view from
+those checked edges by one sort; any other value by one flat scan of its layers.
 
 Every graph value, signed or weighted, passes one complete check where its
 data enters.  Matrices from outside the library get their class's O(n^2)
@@ -185,7 +187,8 @@ def _first_repeat(u: np.ndarray, v: np.ndarray, n: int) -> int:
     """Index of the first edge whose vertex pair an earlier edge has, or the
     edge count (exact for vertices in 0..n-1)."""
     keys = np.minimum(u, v) * n + np.maximum(u, v)
-    if len(set(keys.tolist())) == len(keys):
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
         return len(keys)
     order = np.argsort(keys, kind="stable")  # a pair's first edge sorts first
     return int(order[1:][keys[order[1:]] == keys[order[:-1]]].min())
@@ -229,11 +232,14 @@ def build_signed_graph(n: int, edges: Iterable[tuple], mode: str = SIMPLE) -> Si
     converted, so that a small graph makes no numpy call per check.  These
     edge checks are the graph's whole check: the layers filled from them are
     symmetric, loop-free, non-negative and (in simple mode) simple, so the
-    matrix-wide check of :class:`SignedGraph` is not run again on them.
+    matrix-wide check of :class:`SignedGraph` is not run again on them.  A
+    value built from an array keeps its checked edges until its
+    :func:`_edge_view` is first asked for, which is then made from them.
     """
     layers = np.zeros((2, n, n), dtype=np.int64)
     if isinstance(edges, np.ndarray) and edges.dtype.kind == "i" and edges.shape[1:] == (3,):
-        u, v, s = edges.astype(np.int64).T
+        columns = edges.astype(np.int64).T
+        u, v, s = columns
         # as unsigned, a negative index is out of range too
         bad = (np.maximum(u.view(np.uint64), v.view(np.uint64)) >= n) | (u == v) | (np.abs(s) != 1)
         first = int(bad.argmax()) if bad.any() else len(bad)
@@ -246,7 +252,9 @@ def build_signed_graph(n: int, edges: Iterable[tuple], mode: str = SIMPLE) -> Si
         layer = (1 - s) >> 1  # 0 for +1, 1 for -1
         np.add.at(layers, (layer, u, v), 1)
         np.add.at(layers, (layer, v, u), 1)
-        return _graph_from_layers(layers, mode)
+        g = _graph_from_layers(layers, mode)
+        _BUILT_EDGES[g] = columns[:2], layer
+        return g
     seen = set()
     for edge in edges:
         try:
@@ -358,17 +366,38 @@ class BalanceVerdict:
 
 
 _EDGE_VIEWS = weakref.WeakKeyDictionary()
+_BUILT_EDGES = weakref.WeakKeyDictionary()  # checked ((u, v), layer) of values built from arrays
+
+
+def _edge_entries(n: int, ends: np.ndarray, layer: np.ndarray) -> tuple:
+    """The flat indices, ascending, of the non-zero entries of the layers
+    that the edges with (2, m) ``ends`` and ``layer`` (0 positive, 1
+    negative) fill, and their (2, E) multiplicities: one sort of the 2m keys,
+    an entry's index with the edge's layer in the lowest bit."""
+    keys = np.sort((ends * n + ends[::-1]) * 2 + layer, axis=None)
+    pairs, bits = keys >> 1, keys & 1
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
+    at = pairs[new]
+    entry = np.cumsum(new) - 1  # the entry of each key
+    return at, np.bincount(bits * len(at) + entry, minlength=2 * len(at)).reshape(2, -1)
 
 
 def _edge_view(g) -> tuple:
     """The non-zero entries of a graph's matrix (both halves, and a weighted
     diagonal) in row-major order, as read-only (rows, cols, values): the (2, E)
-    positive and negative multiplicities, or the (E,) weights.  One flat scan
-    of the support per graph value, kept in a weak cache."""
+    positive and negative multiplicities, or the (E,) weights.  Made once per
+    graph value and kept in a weak cache: from the checked edges of a value
+    :func:`build_signed_graph` made from an array, by one sort of them, and
+    otherwise by one flat scan of the support."""
     if g not in _EDGE_VIEWS:
+        edges = _BUILT_EDGES.pop(g, None)
         w = None if isinstance(g, SignedGraph) else np.asarray(g.adjacency).ravel()
-        at = np.flatnonzero(g.support if w is None else w != 0)  # bool: a quarter of int64's time
-        values = np.stack((g.pos.ravel()[at], g.neg.ravel()[at])) if w is None else w[at]
+        if edges is not None:
+            at, values = _edge_entries(g.n, *edges)
+        else:
+            at = np.flatnonzero(g.support if w is None else w != 0)  # bool: a quarter of int64's time
+            values = np.stack((g.pos.ravel()[at], g.neg.ravel()[at])) if w is None else w[at]
         _EDGE_VIEWS[g] = view = (*np.divmod(at, g.n), values)
         for a in view:
             a.setflags(write=False)
@@ -561,15 +590,17 @@ _SIGNED_FILE = re.compile(f"n [1-9][0-9]{{0,17}}\n(?:{_NUMBER} {_NUMBER} (?:\\+1
 def _edge_lines(path) -> tuple:
     """The name, the vertex count and the edge lines of an edge-list file,
     decoded and tokenised once.  A file in the signed writer's own form gives
-    its lines as one int64 (m, 3) array of u, v, sign; any other file gives
+    its lines as one int64 (m, 3) array of u, v, sign, converted by one
+    ``np.fromstring`` call (exact: no token has more than 18 digits, and the
+    pattern leaves nothing it could misread); any other file gives
     (line number, u, v, third token) tuples from the per-line loop, which
     reports the first bad line."""
     source = str(path)
     text = Path(path).read_text()
-    if _SIGNED_FILE.fullmatch(text):  # no line can be bad: one tokenisation
-        tokens = text.split()
-        n = _vertex_count(tokens[1], source, 1)
-        return source, n, np.array(tokens[2:], dtype=np.int64).reshape(-1, 3)
+    if _SIGNED_FILE.fullmatch(text):  # no line can be bad: one conversion
+        header, body = text.split("\n", 1)
+        n = _vertex_count(header[2:], source, 1)
+        return source, n, np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 3)
     return (source, *_parse_edge_lines(text, source))
 
 
@@ -591,7 +622,9 @@ def _signed_graph(source: str, n: int, triples, mode: Optional[str]) -> SignedGr
             edges, mode = list(zip(us, vs, signs)), mode or MULTIGRAPH
     if mode is None and _first_repeat(edges[:, 0], edges[:, 1], n) == len(edges):
         g = build_signed_graph(n, edges, MULTIGRAPH)  # no pair repeats: its layers are simple
-        return _handed_over(SignedGraph, n=n, pos=g.pos, neg=g.neg, mode=SIMPLE)
+        simple = _handed_over(SignedGraph, n=n, pos=g.pos, neg=g.neg, mode=SIMPLE)
+        _BUILT_EDGES[simple] = _BUILT_EDGES.pop(g)
+        return simple
     return build_signed_graph(n, edges, MULTIGRAPH if mode is None else mode)
 
 

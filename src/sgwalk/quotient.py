@@ -12,7 +12,9 @@ normalised partition indicator Q.  Walks commute with Q Q^T, so
 amplitudes between singleton cells survive the quotient exactly.
 
 A partition is its vector of cell numbers.  Counts come from the graph's edge
-view (``core._edge_view``); the refinement works on label vectors.
+view (``core._edge_view``, made from the checked edges of a graph built from an
+edge array, as files in the writer's form are read, and otherwise by one scan of
+its layers), one ``np.bincount`` a round; the refinement works on label vectors.
 """
 
 from __future__ import annotations
@@ -160,10 +162,16 @@ class EquitableProfile:
 
 def _cell_counts(g: SignedGraph, labels: np.ndarray, m: int) -> np.ndarray:
     """Row v: the positive, then the negative neighbour counts of v in each
-    of the m cells of ``labels`` (shape n x 2m), from the graph's edge view."""
+    of the m cells of ``labels`` (shape n x 2m), from the graph's edge view:
+    one ``np.bincount`` over its entries weighted by their multiplicities, so
+    a pair of multiplicity 10^9 costs what a single edge does."""
     rows, cols, layers = _edge_view(g)
-    counts = np.zeros(len(labels) * 2 * m, dtype=np.int64)
-    np.add.at(counts, rows * (2 * m) + labels[cols] + [[0], [m]], layers)
+    at, size = (rows * (2 * m) + labels[cols] + [[0], [m]]).ravel(), len(labels) * 2 * m
+    counts = np.bincount(at, layers.ravel(), size)
+    if counts.max(initial=0) < 2 ** 53:  # non-negative weights: no partial sum was rounded
+        return counts.astype(np.int64).reshape(len(labels), 2 * m)
+    counts = np.zeros(size, dtype=np.int64)  # sums the float64 weights cannot hold exactly
+    np.add.at(counts, at, layers.ravel())
     return counts.reshape(len(labels), 2 * m)
 
 
@@ -231,17 +239,22 @@ def coarsest_equitable(g: SignedGraph, seed: Optional[Partition] = None) -> Part
     """Coarsest equitable partition refining ``seed`` (default: one cell).
 
     Cells are split by their (positive, negative) neighbour-count
-    signatures against the current cells; new cells are numbered as
-    their smallest vertices appear, so the refinement is deterministic.
+    signatures against the current cells (the count columns that are zero
+    for every vertex left out); new cells are numbered as their smallest
+    vertices appear, so the refinement is deterministic.
     """
     seed = single_cell_partition(g.n) if seed is None else seed
     if seed.n != g.n:
         raise ValueError("seed partition size does not match the graph")
     labels, m = seed.cell_of, seed.m
     while True:
-        signatures = np.column_stack([labels, _cell_counts(g, labels, m)])
-        # one opaque item per row: only equality matters, as cells are
-        # renumbered by their first vertex once they are stable
+        counts = _cell_counts(g, labels, m)
+        signatures = np.column_stack([labels, counts.compress(counts.any(axis=0), axis=1)])
+        # one opaque item per row, which needs C-contiguous rows (no copy
+        # here; a boolean column index would give F order, whose rows the
+        # view misreads): only equality matters, as cells are renumbered
+        # by their first vertex once they are stable
+        signatures = np.ascontiguousarray(signatures)
         rows = signatures.view(np.dtype((np.void, signatures.strides[0]))).ravel()
         kinds, refined = np.unique(rows, return_inverse=True)
         if len(kinds) == m:

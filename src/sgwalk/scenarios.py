@@ -56,6 +56,7 @@ from .construct import (
 from .spectral import (
     DEFAULT_TOL,
     _fidelity,
+    _join_amplitude,
     _pst_searches,
     _transfer,
     _weights,
@@ -65,7 +66,6 @@ from .spectral import (
     join_pst_condition,
     propagator,
     pst_search,
-    signed_join_amplitude,
     unsigned_k2_join_condition,
 )
 from .quotient import (
@@ -250,17 +250,20 @@ def _join_k2_3reg() -> list:
 def _join_formula() -> list:
     rng = np.random.default_rng(20260818)
     g1_pool = [complete(2), cycle(4), complete(4), cycle(5), complete(5)]
+    # signed_join_amplitude's checks, once a first factor instead of once a
+    # sample: regular_stats here, and complete graphs and cycles are connected
+    stats_pool = [regular_stats(g1) for g1 in g1_pool]
     samples = 200
     by_size = {}
     for i in range(samples):
-        g1 = g1_pool[i % len(g1_pool)]
+        g1, stats1 = g1_pool[i % len(g1_pool)], stats_pool[i % len(g1_pool)]
         k2 = 3 if i % 2 == 0 else 4
         n2 = int(rng.choice([4, 6, 8, 10, 12] if k2 == 3 else list(range(5, 13))))
         g2 = random_regular(n2, k2, seed=int(rng.integers(0, 2 ** 31)))
         t = float(rng.uniform(0.0, 2 * math.pi))
         a = int(rng.integers(0, g1.n))
         b = int(rng.integers(0, g1.n))
-        closed = signed_join_amplitude(g1, g2, a, b, t).value
+        closed = _join_amplitude(g1, stats1, regular_stats(g2), a, b, t).value
         by_size.setdefault(g1.n + g2.n, []).append(
             (signed_join(g1, g2, -1, +1).adjacency, a, b, t, closed))
     # the dense route: one stacked spectrum and one batched amplitude per join size

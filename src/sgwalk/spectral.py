@@ -629,6 +629,13 @@ def signed_join_amplitude(g1: SignedGraph, g2: SignedGraph, a: int, b: int,
     stats1, stats2 = regular_stats(g1), regular_stats(g2)
     if not is_connected(g1):
         raise ValueError("the first join factor must be connected")
+    return _join_amplitude(g1, stats1, stats2, a, b, t)
+
+
+def _join_amplitude(g1: SignedGraph, stats1, stats2, a: int, b: int, t: float) -> WalkAmplitude:
+    """:func:`signed_join_amplitude` on checked factors: ``stats1`` and
+    ``stats2`` are their :func:`~sgwalk.construct.regular_stats`, and G1 is
+    connected."""
     t = float(t)
     data = join_spectral_data(stats1.n, stats1.k, stats2.n, stats2.k)
     dp, dm, Delta = data.delta_plus, data.delta_minus, data.Delta

@@ -883,6 +883,28 @@ def test_quotient_outputs(capsys, tmp_path):
             2, "", f"error: cannot read {path}: {reason}\n")
 
 
+def test_quotient_of_a_constructed_hypercube_at_scale(capsys, tmp_path):
+    # Q10 through the CLI: 5,120 edges written, read back in the writer's form,
+    # and quotiented by the distance cells from vertex 0 (Hamming weights)
+    target = tmp_path / "q10.txt"
+    assert main(["construct", "--family", "hypercube", "--d", "10", "--out", str(target)]) == 0
+    capsys.readouterr()
+    weight = np.array([bin(v).count("1") for v in range(1024)])
+    cells = [np.flatnonzero(weight == j).tolist() for j in range(11)]
+    seeded = sgwalk.coarsest_equitable(read_signed_graph(target),
+                                       sgwalk.partition_from_cells([[0], list(range(1, 1024))]))
+    assert [list(cell) for cell in seeded.cells] == cells
+    code, out, _ = run(capsys, "quotient", str(target), "--format", "json",
+                       "--cells", ";".join(",".join(map(str, cell)) for cell in cells))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cells"] == cells
+    want = np.zeros((11, 11))
+    j = np.arange(10)
+    want[j, j + 1] = want[j + 1, j] = np.sqrt((j + 1) * (10 - j))
+    assert np.abs(np.array(payload["matrix"]) - want).max() < 1e-12
+
+
 def test_power_subcommands(capsys, tmp_path):
     square = write_square(tmp_path)
     code, out, _ = run(capsys, "exterior", square, "--k", "2")

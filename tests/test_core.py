@@ -956,6 +956,66 @@ def test_reader_scans_a_file_for_repeated_pairs_once(tmp_path):
             assert_handed_over_intact(g)
 
 
+@st.composite
+def built_edge_arrays(draw):
+    """Edge arrays that pass every check, on 1-30 vertices: simple graphs,
+    multigraphs with parallel edges and a pair carrying both signs, vertices
+    left isolated, and no edges."""
+    n = draw(st.integers(1, 30))
+    mode = draw(st.sampled_from([SIMPLE, MULTIGRAPH]))
+    used = draw(st.integers(1, n))  # the vertices from ``used`` on are isolated
+    pairs = [(u, v) for u in range(used) for v in range(used) if u != v]
+    picks = draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique_by=(
+        lambda pair: frozenset(pair)) if mode == SIMPLE else None)) if pairs else []
+    edges = [(u, v, draw(st.sampled_from([1, -1]))) for u, v in picks]
+    if mode == MULTIGRAPH and edges and draw(st.booleans()):
+        u, v, s = edges[0]
+        edges.append((v, u, -s))
+    return n, np.array(edges, dtype=np.int64).reshape(-1, 3), mode
+
+
+def assert_same_view(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b)
+        assert not a.flags.writeable and a.flags.c_contiguous == b.flags.c_contiguous
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(built_edge_arrays())
+def test_edge_view_from_built_edges_is_the_scan(tmp_path_factory, case):
+    n, edges, mode = case
+    g = build_signed_graph(n, edges, mode)
+    scanned = SignedGraph(n, g.pos, g.neg, mode)  # a value from layers: the scan
+    assert g in core._BUILT_EDGES and scanned not in core._BUILT_EDGES
+    assert_same_view(core._edge_view(g), core._edge_view(scanned))
+    assert g not in core._BUILT_EDGES  # the edges go once the view is made
+    # a file in the writer's form, read as simple or multigraph by its repeats
+    target = tmp_path_factory.getbasetemp() / "built.txt"
+    target.write_text(f"n {n}\n" + "".join(f"{u} {v} {s:+d}\n" for u, v, s in edges.tolist()))
+    read = read_signed_graph(target)
+    assert read in core._BUILT_EDGES
+    assert_same_view(core._edge_view(read), core._edge_view(scanned))
+
+
+_TOKENS = st.one_of(st.integers(0, 99), st.integers(10 ** 17, 10 ** 18 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 5000),
+       st.lists(st.tuples(_TOKENS, _TOKENS, st.sampled_from(("+1", "1", "-1"))), max_size=20))
+def test_writer_form_parses_as_split_and_convert(tmp_path_factory, n, lines):
+    text = f"n {n}\n" + "".join(f"{u} {v} {s}\n" for u, v, s in lines)
+    assert core._SIGNED_FILE.fullmatch(text)
+    target = tmp_path_factory.getbasetemp() / "writer-form.txt"
+    target.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, count, triples = core._edge_lines(target)
+    want = np.array(text.split()[2:], dtype=np.int64).reshape(-1, 3)
+    assert count == n and (triples.dtype, triples.shape) == (want.dtype, want.shape)
+    assert np.array_equal(triples, want)
+
+
 def test_comments_and_blank_lines_are_ignored(tmp_path):
     target = tmp_path / "commented.txt"
     target.write_text("# header comment\nn 3\n\n0 1 +1  # inline\n1 2 -1\n")

@@ -26,6 +26,8 @@ from sgwalk import (
     cycle,
     discrete_partition,
     format_edge_list,
+    from_net_matrix,
+    graph_edges,
     hypercube,
     is_connected,
     is_equitable,
@@ -384,6 +386,41 @@ def test_coarsest_equitable_matches_unique_rows_refinement():
         assert np.array_equal(got.cell_of, want)
         assert got.cells == tuple(tuple(np.flatnonzero(want == k).tolist())
                                   for k in range(got.m))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seeded_multigraphs(), st.booleans())
+def test_bincount_refinement_matches_unique_rows(case, from_edges):
+    g, seed = case
+    if from_edges:  # the same multigraph built from its edge lines: the view from edges
+        lines = np.array(list(graph_edges(g)), dtype=np.int64).reshape(-1, 3)
+        g = build_signed_graph(g.n, lines, MULTIGRAPH)
+    member = np.eye(seed.m, dtype=np.int64)[seed.cell_of]
+    counts = quotient_module._cell_counts(g, seed.cell_of, seed.m)
+    assert np.array_equal(counts, np.hstack([g.pos @ member, g.neg @ member]))
+    assert np.array_equal(coarsest_equitable(g, seed).cell_of, unique_rows_refinement(g, seed))
+
+
+def test_refinement_counts_large_multiplicities_exactly():
+    # a pair of multiplicity 2^40 is one entry with one weight, not 2^40 items
+    big = 2 ** 40
+    g = from_net_matrix([[0, big], [big, 0]])
+    tracemalloc.start()
+    ok, profile = is_equitable(g, single_cell_partition(2))
+    single = coarsest_equitable(g)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert ok and profile.d_plus.tolist() == [[big]] and single.m == 1
+    assert peak < 2 ** 20
+    # the path 0 - 1 - 2 with multiplicities 2^53 + 1 and 2^53: in float64,
+    # vertices 0 and 2 would count alike; the exact counts keep them apart
+    big = 2 ** 53
+    g = from_net_matrix([[0, big + 1, 0], [big + 1, 0, big], [0, big, 0]])
+    labels = np.zeros(3, dtype=np.int64)
+    assert quotient_module._cell_counts(g, labels, 1).tolist() == [
+        [big + 1, 0], [2 * big + 1, 0], [big, 0]]
+    assert coarsest_equitable(g).m == 3
+    assert not is_equitable(g, partition_from_cells([[0, 2], [1]]))[0]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
