@@ -18,9 +18,10 @@ from .core import (
     SIMPLE,
     SignedGraph,
     _edge_view,
-    _graph_from_layers,
     _require_unsigned,
+    _signed_value,
     _simple_graph,
+    _view_of,
     build_signed_graph,
     from_net_matrix,
 )
@@ -264,14 +265,20 @@ def double_cover(g: SignedGraph) -> SignedGraph:
     pos (x) I + neg (x) X, which never collides even when the positive
     and the negative layer of a multigraph share vertex pairs, so the
     result is an ordinary all-positive graph whenever all multiplicities
-    are one.
+    are one.  The cover is made from edges: each entry (u, v) of the
+    graph's edge view gives the entries (2u + b, 2v + b) of its positive and
+    (2u + b, 2v + 1 - b) of its negative multiplicity, for both b.
     """
-    layers = np.zeros((2, 2 * g.n, 2 * g.n), dtype=np.int64)
-    blocks = layers[0].reshape(g.n, 2, g.n, 2)  # blocks[u, b, v, c]: (u, b) to (v, c)
-    blocks[:, [0, 1], :, [0, 1]] = g.pos  # inside each layer
-    blocks[:, [0, 1], :, [1, 0]] = g.neg  # across the layers
-    mode = SIMPLE if max(g.pos.max(), g.neg.max()) <= 1 else MULTIGRAPH
-    return _graph_from_layers(layers, mode)
+    rows, cols, values = _edge_view(g)
+    b, s = np.arange(2)[:, None, None], np.arange(2)[:, None]  # row's layer, edge sign
+    at = ((2 * rows + b) * (2 * g.n) + 2 * cols + (b ^ s)).ravel()
+    counts = np.broadcast_to(values, (2, *values.shape)).ravel()
+    order = np.flatnonzero(counts)
+    order = order[np.argsort(at[order])]
+    cover = np.zeros((2, len(order)), dtype=np.int64)
+    cover[0] = counts[order]
+    mode = SIMPLE if values.max(initial=0) <= 1 else MULTIGRAPH
+    return _signed_value(2 * g.n, mode, _view=_view_of(2 * g.n, at[order], cover))
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,29 @@
-"""Signed graphs stored as dense integer matrices.
+"""Signed graphs as integer edge layers, kept as edges or as dense matrices.
 
-A signed graph is kept as a pair of symmetric non-negative integer
-matrices counting the positive and the negative edges separately; the
-walk Hamiltonian is their difference ``pos - neg``.  Simple mode
-restricts both layers to {0,1} entries with disjoint supports.
-Multigraph mode allows parallel edges, which matters for unions of
-overlapping spanning subgraphs: the two layers have to be kept apart
-there so that a double cover can still route positive edges inside a
-layer and negative edges across.
+A signed graph is a pair of symmetric non-negative integer matrices
+counting the positive and the negative edges separately; the walk
+Hamiltonian is their difference ``pos - neg``.  Simple mode restricts
+both layers to {0,1} entries with disjoint supports.  Multigraph mode
+allows parallel edges, which matters for unions of overlapping spanning
+subgraphs: the two layers have to be kept apart there so that a double
+cover can still route positive edges inside a layer and negative edges
+across.
 
 Vertices are integers ``0..n-1`` throughout.  All graph values are
 immutable after construction (the backing arrays are marked read-only).
 
+A value keeps the form it was made in.  Values made from edges (every
+:func:`build_signed_graph` from an edge array, so every signed file read and
+random regular graph; double covers; exterior and symmetric powers) hold their
+checked edges, and their ``pos`` and ``neg`` are the halves of one read-only
+(2, n, n) int64 array made on their first use.  Matrices from outside the
+library, constructions, switchings and parts are dense from the start.
+
 A graph's edges come from one place, :func:`_edge_view`, made once per graph
-value: the writer, connectivity, balance, Cartesian products and the quotient
-refinement all read it, and none walks n x n rows.  A value built from an edge
-array (files in the writer's form, random regular graphs) makes its view from
-those checked edges by one sort; any other value by one flat scan of its layers.
+value and kept on it: the writer, connectivity, balance, double covers,
+Cartesian products and the quotient refinement all read it, and none walks
+n x n rows.  A value made from edges makes its view from them by one sort, and
+makes no layers for it; a dense value by one flat scan of its layers.
 
 Every graph value, signed or weighted, passes one complete check where its
 data enters.  Matrices from outside the library get their class's O(n^2)
@@ -32,8 +39,8 @@ construction, and are handed over by :func:`_handed_over` unchecked.
 
 from __future__ import annotations
 
+import operator
 import re
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -42,6 +49,7 @@ import numpy as np
 
 SIMPLE = "simple"
 MULTIGRAPH = "multigraph"
+_MAX_BYTES = np.iinfo(np.intp).max  # the largest array numpy can address
 
 __all__ = [
     "SIMPLE",
@@ -91,7 +99,10 @@ class SignedGraph:
     """Signed adjacency split into a positive and a negative edge layer.
 
     ``pos`` and ``neg`` are symmetric non-negative integer matrices with
-    zero diagonal.  The net adjacency seen by a walk is ``pos - neg``.
+    zero diagonal.  The net adjacency seen by a walk is ``pos - neg``.  A
+    value made from edges holds its edges instead, and makes ``pos`` and
+    ``neg`` as the halves of one read-only (2, n, n) int64 array when they
+    are first asked for.
     """
 
     n: int
@@ -126,6 +137,27 @@ class SignedGraph:
                 )
         elif self.mode != MULTIGRAPH:
             raise ValueError(f"unknown mode {self.mode!r}")
+
+    def __getattr__(self, name):
+        # reached only for ``pos`` and ``neg`` of a value made from edges,
+        # before their first use: both are made then, from its edges or view
+        state = vars(self)
+        if name not in ("pos", "neg") or "_edges" not in state and "_view" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n = state["n"]
+        layers = np.zeros((2, n, n), dtype=np.int64)
+        if "_edges" in state:  # no view is made: a dense consumer may need none
+            ends, layer = state["_edges"]
+            if state["mode"] == SIMPLE:  # no entry repeats: one assignment
+                layers[layer, ends, ends[::-1]] = 1
+            else:
+                np.add.at(layers.reshape(-1), ((layer * n + ends) * n + ends[::-1]).ravel(), 1)
+        else:
+            rows, cols, values = state["_view"]
+            layers[:, rows, cols] = values
+        layers.setflags(write=False)
+        state["pos"], state["neg"] = layers
+        return state[name]
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -208,17 +240,43 @@ def _handed_over(cls, **fields):
     return value
 
 
+def _signed_value(n: int, mode: str, **fields) -> SignedGraph:
+    """The graph value on ``n`` vertices with ``fields``, handed over by
+    :func:`_handed_over`; only the mode is checked.  Fields are ``pos`` and
+    ``neg``, or, for a value made from edges, one edge state: ``_edges``, the
+    checked (2, m) int64 ends and the layer of each edge (0 positive, 1
+    negative), or ``_view``, its finished :func:`_edge_view`."""
+    if mode not in (SIMPLE, MULTIGRAPH):
+        raise ValueError(f"unknown mode {mode!r}")
+    return _handed_over(SignedGraph, n=n, mode=mode, **fields)
+
+
 def _graph_from_layers(layers: np.ndarray, mode: str) -> SignedGraph:
     """The graph value on ``layers``, an owned int64 (2, n, n) array, handed
-    over by :func:`_handed_over`; only the vertex count and the mode are
+    over by :func:`_signed_value`; only the vertex count and the mode are
     checked."""
     n = layers.shape[1]
     if n < 1:
         raise ValueError("a graph needs at least one vertex")
-    if mode not in (SIMPLE, MULTIGRAPH):
-        raise ValueError(f"unknown mode {mode!r}")
     layers.setflags(write=False)  # the base as well as the views handed over
-    return _handed_over(SignedGraph, n=n, pos=layers[0], neg=layers[1], mode=mode)
+    return _signed_value(n, mode, pos=layers[0], neg=layers[1])
+
+
+def _checked_edge_array(n: int, edges: np.ndarray, mode: str) -> tuple:
+    """The (2, m) ends and the layers (0 for +1, 1 for -1) of the edges of an
+    integer (m, 3) array of u, v, sign, checked by masks over its columns; the
+    first offending edge is reported as the per-edge checks report it."""
+    u, v, s = columns = edges.astype(np.int64).T
+    # as unsigned, a negative index is out of range too
+    bad = (np.maximum(u.view(np.uint64), v.view(np.uint64)) >= n) | (u == v) | (np.abs(s) != 1)
+    first = int(bad.argmax()) if bad.any() else len(bad)
+    if mode == SIMPLE:
+        first = _first_repeat(u[:first], v[:first], n)
+    if first < len(bad):
+        a, b, sign = (int(x) for x in edges[first])
+        _check_edge(n, a, b, sign)
+        raise ValueError(f"duplicate edge {(min(a, b), max(a, b))} in simple mode")
+    return columns[:2], (1 - s) >> 1
 
 
 def build_signed_graph(n: int, edges: Iterable[tuple], mode: str = SIMPLE) -> SignedGraph:
@@ -230,31 +288,20 @@ def build_signed_graph(n: int, edges: Iterable[tuple], mode: str = SIMPLE) -> Si
     duplicate.  An integer (m, 3) array, as the reader passes, is checked by
     masks over its columns; any other iterable edge by edge, as it is
     converted, so that a small graph makes no numpy call per check.  These
-    edge checks are the graph's whole check: the layers filled from them are
+    edge checks are the graph's whole check: the layers the edges fill are
     symmetric, loop-free, non-negative and (in simple mode) simple, so the
-    matrix-wide check of :class:`SignedGraph` is not run again on them.  A
-    value built from an array keeps its checked edges until its
-    :func:`_edge_view` is first asked for, which is then made from them.
+    matrix-wide check of :class:`SignedGraph` is not run on them.  A value
+    built from an array keeps its checked edges, and makes its layers only
+    when they are first asked for; an iterable fills the layers as it goes.
     """
-    layers = np.zeros((2, n, n), dtype=np.int64)
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("a graph needs at least one vertex")
+    if 8 * n * n > _MAX_BYTES:  # no n x n int64 layer can be addressed
+        raise ValueError(f"vertex count {n} is too large")
     if isinstance(edges, np.ndarray) and edges.dtype.kind == "i" and edges.shape[1:] == (3,):
-        columns = edges.astype(np.int64).T
-        u, v, s = columns
-        # as unsigned, a negative index is out of range too
-        bad = (np.maximum(u.view(np.uint64), v.view(np.uint64)) >= n) | (u == v) | (np.abs(s) != 1)
-        first = int(bad.argmax()) if bad.any() else len(bad)
-        if mode == SIMPLE:
-            first = _first_repeat(u[:first], v[:first], n)
-        if first < len(bad):
-            a, b, sign = (int(x) for x in edges[first])
-            _check_edge(n, a, b, sign)
-            raise ValueError(f"duplicate edge {(min(a, b), max(a, b))} in simple mode")
-        layer = (1 - s) >> 1  # 0 for +1, 1 for -1
-        np.add.at(layers, (layer, u, v), 1)
-        np.add.at(layers, (layer, v, u), 1)
-        g = _graph_from_layers(layers, mode)
-        _BUILT_EDGES[g] = columns[:2], layer
-        return g
+        return _signed_value(n, mode, _edges=_checked_edge_array(n, edges, mode))
+    layers = np.zeros((2, n, n), dtype=np.int64)
     seen = set()
     for edge in edges:
         try:
@@ -365,10 +412,6 @@ class BalanceVerdict:
     also_antibalanced: bool = False
 
 
-_EDGE_VIEWS = weakref.WeakKeyDictionary()
-_BUILT_EDGES = weakref.WeakKeyDictionary()  # checked ((u, v), layer) of values built from arrays
-
-
 def _edge_entries(n: int, ends: np.ndarray, layer: np.ndarray) -> tuple:
     """The flat indices, ascending, of the non-zero entries of the layers
     that the edges with (2, m) ``ends`` and ``layer`` (0 positive, 1
@@ -383,25 +426,35 @@ def _edge_entries(n: int, ends: np.ndarray, layer: np.ndarray) -> tuple:
     return at, np.bincount(bits * len(at) + entry, minlength=2 * len(at)).reshape(2, -1)
 
 
+def _view_of(n: int, at: np.ndarray, values: np.ndarray) -> tuple:
+    """The read-only (rows, cols, values) of the entries at flat indices ``at``."""
+    view = (*np.divmod(at, n), values)
+    for a in view:
+        a.setflags(write=False)
+    return view
+
+
 def _edge_view(g) -> tuple:
     """The non-zero entries of a graph's matrix (both halves, and a weighted
     diagonal) in row-major order, as read-only (rows, cols, values): the (2, E)
     positive and negative multiplicities, or the (E,) weights.  Made once per
-    graph value and kept in a weak cache: from the checked edges of a value
-    :func:`build_signed_graph` made from an array, by one sort of them, and
-    otherwise by one flat scan of the support."""
-    if g not in _EDGE_VIEWS:
-        edges = _BUILT_EDGES.pop(g, None)
-        w = None if isinstance(g, SignedGraph) else np.asarray(g.adjacency).ravel()
-        if edges is not None:
-            at, values = _edge_entries(g.n, *edges)
+    graph value and kept on it: from the checked edges of a value made from
+    edges, by one sort of them, which then go; otherwise by one flat scan of
+    the support."""
+    state = vars(g)  # a frozen value's own attributes: the view is kept there
+    if "_view" not in state:
+        if "_edges" in state:
+            at, values = _edge_entries(g.n, *state["_edges"])
+        elif isinstance(g, SignedGraph):
+            at = np.flatnonzero(g.support)  # bool: a quarter of int64's time
+            values = np.stack((g.pos.ravel()[at], g.neg.ravel()[at]))
         else:
-            at = np.flatnonzero(g.support if w is None else w != 0)  # bool: a quarter of int64's time
-            values = np.stack((g.pos.ravel()[at], g.neg.ravel()[at])) if w is None else w[at]
-        _EDGE_VIEWS[g] = view = (*np.divmod(at, g.n), values)
-        for a in view:
-            a.setflags(write=False)
-    return _EDGE_VIEWS[g]
+            w = np.asarray(g.adjacency).ravel()
+            at = np.flatnonzero(w != 0)
+            values = w[at]
+        state["_view"] = _view_of(g.n, at, values)
+        state.pop("_edges", None)
+    return state["_view"]
 
 
 def _search_tree(g, net=None):
@@ -550,7 +603,7 @@ def _vertex_count(token: str, source: str, lineno: int) -> int:
         raise ValueError(f"{source}:{lineno}: bad vertex count {token!r}") from None
     if n < 1:
         raise ValueError(f"{source}:{lineno}: vertex count must be positive")
-    if 8 * n * n > np.iinfo(np.intp).max:  # no n x n int64 layer can be addressed
+    if 8 * n * n > _MAX_BYTES:  # no n x n int64 layer can be addressed
         raise ValueError(f"{source}:{lineno}: vertex count {n} is too large")
     return n
 
@@ -613,19 +666,15 @@ def _signed_graph(source: str, n: int, triples, mode: Optional[str]) -> SignedGr
         if 0 in signs:
             i = signs.index(0)
             raise ValueError(f"{source}:{lines[i]}: sign must be +1 or -1, got {tokens[i]!r}")
-        # With mode=None a repeat only picks the mode, and a bad vertex fails in
-        # either mode: the inexact keys of bad vertices, and the mode picked for
-        # a vertex beyond int64, change no outcome.
         try:
             edges = np.array((us, vs, signs), dtype=np.int64).T
-        except OverflowError:  # a vertex beyond int64: the error message quotes it
+        except OverflowError:  # a vertex beyond int64, which fails in either mode
             edges, mode = list(zip(us, vs, signs)), mode or MULTIGRAPH
-    if mode is None and _first_repeat(edges[:, 0], edges[:, 1], n) == len(edges):
-        g = build_signed_graph(n, edges, MULTIGRAPH)  # no pair repeats: its layers are simple
-        simple = _handed_over(SignedGraph, n=n, pos=g.pos, neg=g.neg, mode=SIMPLE)
-        _BUILT_EDGES[simple] = _BUILT_EDGES.pop(g)
-        return simple
-    return build_signed_graph(n, edges, MULTIGRAPH if mode is None else mode)
+    if mode is None:  # checked as a multigraph, then simple if no pair repeats
+        ends, layer = _checked_edge_array(n, edges, MULTIGRAPH)
+        simple = _first_repeat(*ends, n) == len(layer)
+        return _signed_value(n, SIMPLE if simple else MULTIGRAPH, _edges=(ends, layer))
+    return build_signed_graph(n, edges, mode)
 
 
 def _weighted_graph(source: str, n: int, triples) -> WeightedGraph:

@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .construct import _kronecker_sum
-from .core import (SignedGraph, WeightedGraph, _edge_view, _handed_over, _require_unsigned,
-                   _simple_graph)
+from .core import (SIMPLE, SignedGraph, WeightedGraph, _edge_view, _handed_over,
+                   _require_unsigned, _signed_value)
 from .spectral import PstVerdict, is_pst
 
 __all__ = [
@@ -175,10 +175,11 @@ def _lex_terms(n: int, k: int):
     return lambda a, q: table[n - k - a + q + 1, k - q]
 
 
-def _hop_nets(adj: np.ndarray, k: int, bosons: bool) -> np.ndarray:
-    """Hop matrices of k particles on unsigned adjacencies, (..., n, n) in,
-    (..., S, S) out, over the lex-ordered k-subsets (fermions, int64 signs) or
-    k-multisets (bosons, float weights).
+def _hops(adj: np.ndarray, k: int, bosons: bool) -> tuple:
+    """The hops of k particles on unsigned adjacencies (..., n, n), between
+    the lex-ordered k-subsets (fermions) or k-multisets (bosons): the state
+    count S, the indices (..., a, b) of each hop's lower state a and its
+    target b, and its value (fermions, int64 signs; bosons, float weights).
 
     Each hop u -> v is met once, from its lower state (v > u).  A fermion
     hop carries (-1)^(occupied sites strictly between u and v); a boson hop
@@ -204,13 +205,17 @@ def _hop_nets(adj: np.ndarray, k: int, bosons: bool) -> np.ndarray:
     u = states[ia, r]
     target = np.sort(np.where(q == r[:, None], v[:, None], states[ia]), axis=1)
     ib = count - 1 - term(target + q if bosons else target, q).sum(axis=1)
-    net = np.zeros((*adj.shape[:-2], count, count), dtype=float if bosons else np.int64)
-    at, mirror = (*ig, ia, ib), (*ig, ib, ia)
     if bosons:
-        net[at] = np.sqrt(occupied[ia, u] * (occupied[ia, v] + 1))
-    else:
-        net[at] = 1 - 2 * ((at_or_below[ia, v] - at_or_below[ia, u]) % 2)
-    net[mirror] = net[at]
+        return count, (*ig, ia, ib), np.sqrt(occupied[ia, u] * (occupied[ia, v] + 1))
+    return count, (*ig, ia, ib), 1 - 2 * ((at_or_below[ia, v] - at_or_below[ia, u]) % 2)
+
+
+def _hop_nets(adj: np.ndarray, k: int, bosons: bool) -> np.ndarray:
+    """The hops of :func:`_hops` as (..., S, S) matrices, each written with its mirror."""
+    count, at, values = _hops(adj, k, bosons)
+    net = np.zeros((*adj.shape[:-2], count, count), dtype=values.dtype)
+    net[at] = values
+    net[(*at[:-2], at[-1], at[-2])] = values
     return net
 
 
@@ -223,7 +228,8 @@ def exterior_power(g: SignedGraph, k: int) -> SignedGraph:
     permutation between the two sorted tuples).
     """
     _require_unsigned(g, "exterior_power")
-    return _simple_graph(_hop_nets(g.pos, k, False))
+    count, (ia, ib), sign = _hops(g.pos, k, False)  # each hop an edge
+    return _signed_value(count, SIMPLE, _edges=(np.array((ia, ib)), (1 - sign) >> 1))
 
 
 def exterior_power_oracle(g: SignedGraph, k: int) -> WeightedGraph:
@@ -260,7 +266,8 @@ def symmetric_power(g: SignedGraph, k: int) -> SignedGraph:
     """Unsigned k-th symmetric power: same support as the exterior power,
     every edge positive."""
     _require_unsigned(g, "symmetric_power")
-    return _simple_graph(_hop_nets(g.pos, k, False) != 0)
+    count, (ia, ib), _ = _hops(g.pos, k, False)
+    return _signed_value(count, SIMPLE, _edges=(np.array((ia, ib)), np.zeros_like(ia)))
 
 
 def boson_quotient(g: SignedGraph, k: int) -> WeightedGraph:

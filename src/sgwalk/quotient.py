@@ -12,13 +12,16 @@ normalised partition indicator Q.  Walks commute with Q Q^T, so
 amplitudes between singleton cells survive the quotient exactly.
 
 A partition is its vector of cell numbers.  Counts come from the graph's edge
-view (``core._edge_view``, made from the checked edges of a graph built from an
-edge array, as files in the writer's form are read, and otherwise by one scan of
-its layers), one ``np.bincount`` a round; the refinement works on label vectors.
+view (``core._edge_view``, made from the edges of a value made from edges, as
+every signed file is read, and otherwise by one scan of its layers), so neither
+the refinement nor the quotient makes n x n layers.  The refinement works on
+label vectors and splits cells on signatures packed into int64 words.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -84,16 +87,24 @@ class Partition:
 
 def partition_from_cells(cells: Iterable[Sequence[int]], n: Optional[int] = None) -> Partition:
     """Build a partition from explicit cells (kept in the given order)."""
-    normalized = [[int(v) for v in cell] for cell in cells]
-    if any(len(cell) == 0 for cell in normalized):
+    try:
+        normalized = [list(map(operator.index, cell)) for cell in cells]
+    except TypeError as exc:  # a float, say, whose int() would be silently another vertex
+        raise ValueError(f"cells must list integer vertices: {exc}") from None
+    sizes = [len(cell) for cell in normalized]
+    if 0 in sizes:
         raise ValueError("cells must be non-empty")
-    flat = [v for cell in normalized for v in cell]
     if n is None:
-        n = max(flat) + 1 if flat else 0
-    if sorted(flat) != list(range(n)):
+        n = max(map(max, normalized), default=-1) + 1
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(normalized), np.int64, sum(sizes))
+    except OverflowError:  # a vertex beyond int64 lies outside 0..n-1
+        flat = None
+    in_range = flat is not None and (not len(flat) or 0 <= flat.min() and flat.max() < n)
+    if not in_range or (np.bincount(flat, minlength=n) != 1).any():  # each vertex once
         raise ValueError(f"cells must partition 0..{n - 1} exactly")
     cell_of = np.empty(n, dtype=np.int64)
-    cell_of[flat] = np.repeat(np.arange(len(normalized)), [len(cell) for cell in normalized])
+    cell_of[flat] = np.repeat(np.arange(len(normalized)), sizes)
     return _handed_over(Partition, cell_of=cell_of)
 
 
@@ -239,27 +250,43 @@ def coarsest_equitable(g: SignedGraph, seed: Optional[Partition] = None) -> Part
     """Coarsest equitable partition refining ``seed`` (default: one cell).
 
     Cells are split by their (positive, negative) neighbour-count
-    signatures against the current cells (the count columns that are zero
-    for every vertex left out); new cells are numbered as their smallest
-    vertices appear, so the refinement is deterministic.
+    signatures against the current cells; new cells are numbered as their
+    smallest vertices appear, so the refinement is deterministic.
+
+    A vertex's signature is packed into int64 words of b-bit fields, one
+    field per (cell, layer), where b is the bit length of the largest degree
+    in a layer: no count exceeds it, so the fields never carry into each
+    other and equal words mean equal counts, at any multiplicity.  A round is
+    one ``np.add.at`` over the non-zero entries of the edge view and one
+    ``np.lexsort`` of the (cell, words) rows.
     """
     seed = single_cell_partition(g.n) if seed is None else seed
     if seed.n != g.n:
         raise ValueError("seed partition size does not match the graph")
+    rows, cols, layers = _edge_view(g)
+    layer, entry = np.nonzero(layers)
+    rows, cols, counts = rows[entry], cols[entry], layers[layer, entry]
+    degrees = np.zeros(2 * g.n, dtype=np.int64)  # of each vertex in each layer, exactly
+    np.add.at(degrees, layer * g.n + rows, counts)
+    width = max(1, int(degrees.max()).bit_length())
+    per_word = 63 // width  # fields of a non-negative int64
     labels, m = seed.cell_of, seed.m
     while True:
-        counts = _cell_counts(g, labels, m)
-        signatures = np.column_stack([labels, counts.compress(counts.any(axis=0), axis=1)])
-        # one opaque item per row, which needs C-contiguous rows (no copy
-        # here; a boolean column index would give F order, whose rows the
-        # view misreads): only equality matters, as cells are renumbered
-        # by their first vertex once they are stable
-        signatures = np.ascontiguousarray(signatures)
-        rows = signatures.view(np.dtype((np.void, signatures.strides[0]))).ravel()
-        kinds, refined = np.unique(rows, return_inverse=True)
-        if len(kinds) == m:
+        field, size = 2 * labels[cols] + layer, -(-2 * m // per_word)
+        words = np.zeros(g.n * size, dtype=np.int64)
+        np.add.at(words, rows * size + field // per_word, counts << width * (field % per_word))
+        keys = (*words.reshape(g.n, size).T, labels)
+        order = np.lexsort(keys)  # by the cell, then by the words
+        new = np.zeros(g.n, dtype=bool)  # where a row differs from the one before it
+        new[0] = True
+        for key in keys:
+            ranked = key[order]
+            new[1:] |= ranked[1:] != ranked[:-1]
+        group = np.cumsum(new) - 1
+        if group[-1] + 1 == m:
             return partition_from_cell_of(labels)
-        labels, m = refined.reshape(-1), len(kinds)
+        labels, m = np.empty(g.n, dtype=np.int64), int(group[-1]) + 1
+        labels[order] = group
 
 
 @dataclass(frozen=True)

@@ -982,6 +982,43 @@ def test_pst_search_memory_does_not_grow_with_the_horizon(tmp_path):
     assert len(lines) == 95493  # every odd multiple of pi/2 up to 3e5
 
 
+def test_file_commands_on_q14_run_on_its_edges(tmp_path):
+    # Q14: 16,384 vertices and 114,688 edges, whose two n x n int64 layers
+    # alone would take 4 GiB; read, quotient, balance and cover need none
+    d, n = 14, 1 << 14
+    u = np.repeat(np.arange(n), d)
+    v = u ^ np.tile(1 << np.arange(d), n)
+    target = tmp_path / "q14.txt"
+    target.write_text(f"n {n}\n" + "".join(
+        f"{a} {b} +1\n" for a, b in zip(u[u < v].tolist(), v[u < v].tolist())))
+    weight = np.array([bin(x).count("1") for x in range(n)])
+    cells = [np.flatnonzero(weight == j).tolist() for j in range(d + 1)]
+    proc = run_capped("quotient", str(target), "--format", "json",
+                      "--cells", ";".join(",".join(map(str, cell)) for cell in cells))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = json.loads(proc.stdout)
+    j = np.arange(d)
+    up, down, matrix = np.zeros((3, d + 1, d + 1))
+    up[j, j + 1], down[j + 1, j] = d - j, j + 1
+    matrix[j, j + 1] = matrix[j + 1, j] = [round(math.sqrt((i + 1) * (d - i)), 12) for i in j]
+    assert payload == {"cells": cells, "matrix": matrix.tolist(),
+                       "d_plus": (up + down).astype(int).tolist(),
+                       "d_minus": np.zeros((d + 1, d + 1), dtype=int).tolist()}
+    proc = run_capped("balance", str(target))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "status balanced\nalso_antibalanced true\nwitness" + " +1" * n + "\n"
+    cover = tmp_path / "cover.txt"
+    proc = run_capped("double-cover", str(target), "--out", str(cover))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    x = np.repeat(np.arange(2 * n), d)  # (u, b) at 2u + b: Q14 twice, one copy per layer
+    y = 2 * (x // 2 ^ np.tile(1 << np.arange(d), 2 * n)) + x % 2
+    order = np.lexsort((y, x))
+    keep = order[x[order] < y[order]]
+    assert cover.read_text() == (
+        f"n {2 * n}\n" + "".join(f"{a} {b} +1\n" for a, b in zip(x[keep].tolist(), y[keep].tolist()))
+        + "".join(f"# state {i} = (base {i // 2}, layer {i % 2})\n" for i in range(2 * n)))
+
+
 def test_pst_search_refuses_a_scan_beyond_its_cap(capsys, tmp_path):
     # 3.2e14 grid times would scan for months; the cap answers at once
     start = time.perf_counter()

@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -40,6 +42,7 @@ from sgwalk import (
     negative_part,
     partition_from_cell_of,
     positive_part,
+    random_regular,
     quotient,
     read_signed_graph,
     read_weighted_graph,
@@ -50,9 +53,10 @@ from sgwalk import (
     underlying,
     write_edge_list,
 )
-from sgwalk import core
+from sgwalk import construct, core
 from sgwalk.cli import graph_payload
 from sgwalk.construct import complete, cycle, path
+from sgwalk.multiparticle import MAX_POWER_STATES, _hop_nets
 
 
 def square(signs):
@@ -721,6 +725,16 @@ def test_checks_refuse_with_their_own_messages(make, message):
         make()
 
 
+def test_build_refuses_a_vertex_count_before_any_edge():
+    # both edge paths, before they allocate or check an edge
+    for n in (0, -1):
+        for edges in ([], [(0, 1, 1)], np.zeros((0, 3), dtype=np.int64), np.array([[0, 1, 1]])):
+            with pytest.raises(ValueError, match="^a graph needs at least one vertex$"):
+                build_signed_graph(n, edges)
+    with pytest.raises(ValueError, match=f"^vertex count {2 ** 40} is too large$"):
+        build_signed_graph(2 ** 40, np.array([[0, 1, 1]]))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(faulty_edge_lists(), st.sampled_from([None, SIMPLE, MULTIGRAPH]), st.booleans())
 def test_read_matches_the_per_line_loop(tmp_path_factory, case, mode, canonical):
@@ -985,16 +999,103 @@ def assert_same_view(got, want):
 def test_edge_view_from_built_edges_is_the_scan(tmp_path_factory, case):
     n, edges, mode = case
     g = build_signed_graph(n, edges, mode)
+    assert "_edges" in vars(g)  # the value holds its checked edges
+    view = core._edge_view(g)
+    assert "_edges" not in vars(g)  # the edges go once the view is made
     scanned = SignedGraph(n, g.pos, g.neg, mode)  # a value from layers: the scan
-    assert g in core._BUILT_EDGES and scanned not in core._BUILT_EDGES
-    assert_same_view(core._edge_view(g), core._edge_view(scanned))
-    assert g not in core._BUILT_EDGES  # the edges go once the view is made
+    assert "_edges" not in vars(scanned)
+    assert_same_view(view, core._edge_view(scanned))
     # a file in the writer's form, read as simple or multigraph by its repeats
     target = tmp_path_factory.getbasetemp() / "built.txt"
     target.write_text(f"n {n}\n" + "".join(f"{u} {v} {s:+d}\n" for u, v, s in edges.tolist()))
     read = read_signed_graph(target)
-    assert read in core._BUILT_EDGES
+    assert "_edges" in vars(read)
     assert_same_view(core._edge_view(read), core._edge_view(scanned))
+
+
+def assert_made_from_edges(g, pos, neg, mode):
+    """g holds no layers until asked, and then the ones the dense route
+    makes: ``pos`` and ``neg`` with ``mode``, bit for bit."""
+    assert not vars(g).keys() & {"pos", "neg"}
+    assert_handed_over_intact(g)
+    assert np.array_equal(g.pos, pos) and np.array_equal(g.neg, neg) and g.mode == mode
+
+
+def dense_cover(g):
+    """The double cover by its definition, pos (x) I + neg (x) X."""
+    layer = np.kron(g.pos, np.eye(2, dtype=np.int64)) + np.kron(g.neg, 1 - np.eye(2, dtype=np.int64))
+    return layer, 0 * layer, SIMPLE if max(g.pos.max(), g.neg.max()) <= 1 else MULTIGRAPH
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(built_edge_arrays(), st.integers(1, 3), st.integers(0, 2 ** 31))
+def test_values_made_from_edges_make_the_dense_routes_layers(tmp_path_factory, case, k, seed):
+    n, edges, mode = case
+    want = reference_build(n, edges.tolist(), mode)
+    assert_made_from_edges(build_signed_graph(n, edges, mode), want.pos, want.neg, mode)
+    # files in the writer's form and in the per-line form, the mode by their repeats
+    pairs = {(min(u, v), max(u, v)) for u, v, _ in edges.tolist()}
+    want = reference_build(n, edges.tolist(), SIMPLE if len(pairs) == len(edges) else MULTIGRAPH)
+    target = tmp_path_factory.getbasetemp() / "made.txt"
+    text = f"n {n}\n" + "".join(f"{u} {v} {s:+d}\n" for u, v, s in edges.tolist())
+    for given_text in (text, "# per-line\n" + text):
+        target.write_text(given_text)
+        assert_made_from_edges(read_signed_graph(target), want.pos, want.neg, want.mode)
+    # covers of a value made from edges and of its dense twin
+    for g in (build_signed_graph(n, edges, mode), SignedGraph(n, want.pos, want.neg, want.mode)):
+        assert_made_from_edges(double_cover(g), *dense_cover(g))
+    # powers of the underlying unsigned simple graph, against the dense hop matrices
+    unsigned = build_signed_graph(n, [(u, v, 1) for u, v in sorted(pairs)])
+    if k <= n and math.comb(n, k) <= MAX_POWER_STATES:
+        net = _hop_nets(unsigned.pos, k, False)
+        assert_made_from_edges(exterior_power(unsigned, k), np.maximum(net, 0), np.maximum(-net, 0),
+                               SIMPLE)
+        assert_made_from_edges(symmetric_power(unsigned, k), np.abs(net), 0 * net, SIMPLE)
+    # random regular graphs: the layers of the edges they draw
+    if n >= 4:
+        drawn = []
+
+        def recorded(count, edge_array):
+            drawn.append(edge_array)
+            return build_signed_graph(count, edge_array)
+
+        with mock.patch.object(construct, "build_signed_graph", recorded):
+            g = random_regular(n + n % 2, 3, seed)
+        want = reference_build(n + n % 2, drawn[0].tolist(), SIMPLE)
+        assert_made_from_edges(g, want.pos, want.neg, SIMPLE)
+
+
+def test_edge_view_readers_make_no_layers(tmp_path):
+    # Q11 read from a file: the view, the refinement, the quotient,
+    # connectivity, balance and the writer run on its edges, and together
+    # trace less than one n x n matrix of bytes
+    write_edge_list(hypercube(11), tmp_path / "q11.txt")
+    q11 = read_signed_graph(tmp_path / "q11.txt")
+    tracemalloc.start()
+    try:
+        core._edge_view(q11)
+        seeded = coarsest_equitable(q11, partition_from_cell_of(np.arange(2048) != 0))
+        assert seeded.m == 12 and quotient(q11, seeded).n == 12
+        assert is_connected(q11) and balance_verdict(q11).status == "balanced"
+        assert format_edge_list(q11).count("\n") == 1 + 11 * 1024
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * 2048
+    # and no value made from edges makes its layers for any of them
+    rng = np.random.default_rng(11)
+    lines = format_edge_list(random_regular(512, 3, seed=11)).splitlines()
+    lines[1:] = [line[:-2] + rng.choice(["+1", "-1"]) for line in lines[1:]]
+    (tmp_path / "signed.txt").write_text("\n".join(lines) + "\n")
+    signed = read_signed_graph(tmp_path / "signed.txt")
+    for g in (q11, signed, double_cover(signed), double_cover(q11),
+              exterior_power(cycle(40), 2), symmetric_power(cycle(40), 2)):
+        coarsest_equitable(g)
+        quotient(g, coarsest_equitable(g, partition_from_cell_of(np.arange(g.n) != 0)))
+        if is_connected(g):
+            balance_verdict(g)
+        format_edge_list(g)
+        assert not vars(g).keys() & {"pos", "neg"}
 
 
 _TOKENS = st.one_of(st.integers(0, 99), st.integers(10 ** 17, 10 ** 18 - 1))

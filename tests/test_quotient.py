@@ -67,6 +67,41 @@ def test_partition_constructors_and_validation():
         partition_from_cells([[0], []], n=1)  # empty cell
 
 
+def reference_cells(cells, n):
+    """The cell_of of the sorted-list check that the bincount check replaces,
+    on integer vertices, or its message."""
+    normalized = [[int(v) for v in cell] for cell in cells]
+    if any(len(cell) == 0 for cell in normalized):
+        return "cells must be non-empty"
+    flat = [v for cell in normalized for v in cell]
+    if n is None:
+        n = max(flat) + 1 if flat else 0
+    if len(flat) != n or sorted(flat) != list(range(n)):
+        return f"cells must partition 0..{n - 1} exactly"
+    cell_of = [0] * n
+    for j, cell in enumerate(normalized):
+        for v in cell:
+            cell_of[v] = j
+    return cell_of
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.one_of(st.integers(-1, 7), st.sampled_from([2 ** 63, 2 ** 70])),
+                         max_size=4), max_size=5),
+       st.one_of(st.none(), st.integers(0, 8)))
+def test_partition_from_cells_checks_each_vertex_once(cells, n):
+    try:
+        got = partition_from_cells(cells, n).cell_of.tolist()
+    except ValueError as exc:
+        got = str(exc)
+    assert got == reference_cells(cells, n)
+    # numpy integers are integers; floats and strings are not vertices
+    assert partition_from_cells([np.array([1, 2]), [np.int64(0)]]).cells == ((1, 2), (0,))
+    for bad in (1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match="^cells must list integer vertices: "):
+            partition_from_cells([[0], [bad]])
+
+
 def test_partition_is_its_cell_numbers():
     # one representation: cells, m and sizes all come from cell_of, so a
     # partition whose cells and labels disagree cannot be made
@@ -399,6 +434,54 @@ def test_bincount_refinement_matches_unique_rows(case, from_edges):
     counts = quotient_module._cell_counts(g, seed.cell_of, seed.m)
     assert np.array_equal(counts, np.hstack([g.pos @ member, g.neg @ member]))
     assert np.array_equal(coarsest_equitable(g, seed).cell_of, unique_rows_refinement(g, seed))
+
+
+@st.composite
+def wide_field_multigraphs(draw):
+    """Multigraphs on 2-10 vertices whose largest degree in a layer has
+    exactly ``width`` bits, width 1, 31, 32, 62 or 63, and a drawn seed."""
+    n = draw(st.integers(2, 10))
+    width = draw(st.sampled_from([1, 31, 32, 62, 63]))
+    layers = np.zeros((2, n, n), dtype=np.int64)
+    for sign, layer in enumerate(layers):
+        if width == 1:  # a matching, its first pair positive: every degree 1 at most
+            order = draw(st.permutations(range(n)))
+            for u, v in zip(order[::2], order[1::2]):
+                layer[u, v] = layer[v, u] = 1 if sign == 0 and u == order[0] else draw(
+                    st.integers(0, 1))
+            continue
+        for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=2 * n)):
+            if u != v:
+                layer[u, v] = layer[v, u] = draw(st.integers(1, 3))
+        u, v = draw(st.permutations(range(n)))[:2]
+        # one degree reaches 2^width - 1 or 2^(width - 1) + something: fields full or half full
+        top = 2 ** width - 1 if draw(st.booleans()) else 2 ** (width - 1)
+        big = top - max(layer[u].sum(), layer[v].sum()) + layer[u, v]
+        layer[u, v] = layer[v, u] = big
+    g = SignedGraph(n, layers[0], layers[1], MULTIGRAPH)
+    assert max(int(d) for d in (g.pos.sum(axis=1).max(), g.neg.sum(axis=1).max())).bit_length() == width
+    return g, partition_from_cell_of(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(wide_field_multigraphs())
+def test_packed_refinement_is_exact_at_every_field_width(case):
+    g, seed = case
+    assert np.array_equal(coarsest_equitable(g, seed).cell_of, unique_rows_refinement(g, seed))
+    assert np.array_equal(coarsest_equitable(g).cell_of,
+                          unique_rows_refinement(g, single_cell_partition(g.n)))
+
+
+@pytest.mark.parametrize("width", [2, 31, 32, 62, 63])
+def test_a_full_field_does_not_carry_into_the_next(width):
+    # vertex 0 sees 2^(width-1) positive edges into cell {2}, vertex 1 one
+    # negative edge: fields of width - 1 bits would pack both to one word
+    pos, neg = np.zeros((2, 3, 3), dtype=np.int64)
+    pos[0, 2] = pos[2, 0] = 2 ** (width - 1)
+    neg[1, 2] = neg[2, 1] = 1
+    g = SignedGraph(3, pos, neg, MULTIGRAPH)
+    assert coarsest_equitable(g, partition_from_cells([[0, 1], [2]])).cells == ((0,), (1,), (2,))
 
 
 def test_refinement_counts_large_multiplicities_exactly():
