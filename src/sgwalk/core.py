@@ -170,7 +170,10 @@ class SignedGraph:
         return np.logical_or(self.pos, self.neg)
 
     def edge_count(self) -> int:
-        return int((self.pos.sum() + self.neg.sum()) // 2)
+        """The number of edges, exactly, from the upper entries of the edge view."""
+        rows, cols, layers = _edge_view(self)
+        upper = layers[:, rows < cols]  # each below 2^63: in 32-bit halves no sum wraps
+        return (int((upper >> 32).sum()) << 32) + int((upper & 0xFFFFFFFF).sum())
 
 
 @dataclass(frozen=True, eq=False)

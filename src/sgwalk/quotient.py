@@ -12,10 +12,10 @@ normalised partition indicator Q.  Walks commute with Q Q^T, so
 amplitudes between singleton cells survive the quotient exactly.
 
 A partition is its vector of cell numbers.  Counts come from the graph's edge
-view (``core._edge_view``, made from the edges of a value made from edges, as
-every signed file is read, and otherwise by one scan of its layers), so neither
-the refinement nor the quotient makes n x n layers.  The refinement works on
-label vectors and splits cells on signatures packed into int64 words.
+view (``core._edge_view``: from the edges of a value made from edges, as every
+signed file is read, else by one scan of its layers), so no n x n layers are made.
+The refinement and the equitability check share one count pass, exact below 2^63
+edges per vertex and layer and refused at or above.
 """
 
 from __future__ import annotations
@@ -96,6 +96,8 @@ def partition_from_cells(cells: Iterable[Sequence[int]], n: Optional[int] = None
         raise ValueError("cells must be non-empty")
     if n is None:
         n = max(map(max, normalized), default=-1) + 1
+    elif n < 0:
+        raise ValueError(f"a partition needs n >= 0 vertices, got n={n}")
     try:
         flat = np.fromiter(itertools.chain.from_iterable(normalized), np.int64, sum(sizes))
     except OverflowError:  # a vertex beyond int64 lies outside 0..n-1
@@ -171,33 +173,57 @@ class EquitableProfile:
         return self.d_plus - self.d_minus
 
 
-def _cell_counts(g: SignedGraph, labels: np.ndarray, m: int) -> np.ndarray:
-    """Row v: the positive, then the negative neighbour counts of v in each
-    of the m cells of ``labels`` (shape n x 2m), from the graph's edge view:
-    one ``np.bincount`` over its entries weighted by their multiplicities, so
-    a pair of multiplicity 10^9 costs what a single edge does."""
+def _signature_rounds(g: SignedGraph, labels: np.ndarray, m: int):
+    """The refinement from the m cells of ``labels``, by rounds: each yields its
+    labels, signature words (a row per vertex) and field width b, then splits its
+    cells, until one splits none.  The words pack a vertex's counts into b-bit
+    fields, one per (layer, cell), b the bit length of the largest degree in a
+    layer: no count exceeds it, so equal words mean equal counts."""
     rows, cols, layers = _edge_view(g)
-    at, size = (rows * (2 * m) + labels[cols] + [[0], [m]]).ravel(), len(labels) * 2 * m
-    counts = np.bincount(at, layers.ravel(), size)
-    if counts.max(initial=0) < 2 ** 53:  # non-negative weights: no partial sum was rounded
-        return counts.astype(np.int64).reshape(len(labels), 2 * m)
-    counts = np.zeros(size, dtype=np.int64)  # sums the float64 weights cannot hold exactly
-    np.add.at(counts, at, layers.ravel())
-    return counts.reshape(len(labels), 2 * m)
+    keep = layers.ravel() != 0  # the non-zero entries, the positive layer's first
+    rows, cols, counts = (np.concatenate(a)[keep] for a in ((rows, rows), (cols, cols), layers))
+    layer = np.arange(len(rows)) >= np.count_nonzero(keep[:len(keep) // 2])
+    at = layer * g.n + rows
+    degrees = np.zeros(2 * g.n, dtype=np.int64)  # of each vertex in each layer, modulo 2^64
+    np.add.at(degrees, at, counts)
+    # a sum in [2^63, 2^64) wraps negative; the float sums (to 1 +- n 2^-53) tell 2^64 and more
+    if degrees.min() < 0 or np.bincount(at, counts, 2 * g.n).max() >= 1.5 * 2 ** 63:
+        raise ValueError("a vertex has 2^63 or more edges in one layer: its counts exceed int64")
+    width = max(1, int(degrees.max()).bit_length())
+    per_word = 63 // width  # fields of a non-negative int64
+    while True:
+        field, size = layer * m + labels[cols], -(-2 * m // per_word)
+        word = field // per_word  # and field - word * per_word its slot: % is slower
+        words = np.zeros(g.n * size, dtype=np.int64)
+        np.add.at(words, rows * size + word, counts << width * (field - word * per_word))
+        yield labels, words.reshape(g.n, size), width
+        keys = (*words.reshape(g.n, size).T, labels)
+        order = np.lexsort(keys)  # by the cell, then by the words
+        new = np.arange(g.n) == 0  # where a row differs from the one before it
+        for key in keys:
+            ranked = key[order]
+            new[1:] |= ranked[1:] != ranked[:-1]
+        group = np.cumsum(new) - 1
+        if group[-1] + 1 == m:
+            return
+        labels, m = np.empty(g.n, dtype=np.int64), int(group[-1]) + 1
+        labels[order] = group
 
 
 def is_equitable(g: SignedGraph, p: Partition):
-    """Check equitability for both edge layers at once.
-
-    Returns (True, profile) or (False, None).
-    """
+    """Check equitability for both edge layers at once: (True, profile) when every
+    vertex's signature words are its cell's first vertex's, whose fields are the
+    profile, else (False, None)."""
     if p.n != g.n:
         raise ValueError("partition size does not match the graph")
-    counts = _cell_counts(g, p.cell_of, p.m)
-    rows = counts[np.unique(p.cell_of, return_index=True)[1]]  # each cell's first vertex
-    if np.any(counts != rows[p.cell_of]):
+    _, words, width = next(_signature_rounds(g, p.cell_of, p.m))
+    rows = words[np.unique(p.cell_of, return_index=True)[1]]  # each cell's first vertex
+    if (words != rows[p.cell_of]).any():
         return False, None
-    return True, EquitableProfile(rows[:, :p.m].copy(), rows[:, p.m:].copy())
+    m, per_word = len(rows), 63 // width
+    field = np.arange(2 * m)
+    counts = rows[:, field // per_word] >> width * (field % per_word) & (1 << width) - 1
+    return True, EquitableProfile(counts[:, :m], counts[:, m:])  # the + and the - counts
 
 
 def normalized_partition_matrix(p: Partition) -> np.ndarray:
@@ -228,9 +254,9 @@ class QuotientGraph(WeightedGraph):
 def quotient(g: SignedGraph, p: Partition) -> QuotientGraph:
     """Quotient of a signed graph over an equitable partition.
 
-    The conjugated matrix Q^T A Q is verified against the closed-form
-    entry rule to 1e-12 before being returned; its entry (j, k) is the net
-    edge count from cell j to cell k over sqrt(|cell j| |cell k|).
+    The conjugated matrix Q^T A Q is verified against the closed-form entry
+    rule to 1e-12 times its largest entry (or 1) before being returned; its
+    entry (j, k) is the net edge count from cell j to cell k over sqrt(|cell j| |cell k|).
     """
     ok, profile = is_equitable(g, p)
     if not ok:
@@ -239,8 +265,8 @@ def quotient(g: SignedGraph, p: Partition) -> QuotientGraph:
     net = np.bincount(p.cell_of[rows] * p.m + p.cell_of[cols], pos - neg, p.m * p.m)
     conjugated = net.reshape(p.m, p.m) / np.sqrt(np.outer(p.sizes(), p.sizes()))
     ds = profile.d_signed
-    closed = np.sign(ds) * np.sqrt(np.abs(ds * ds.T).astype(float))
-    if np.abs(conjugated - closed).max() > 1e-12:
+    closed = np.sign(ds) * np.sqrt(np.abs(ds * ds.T.astype(float)))  # int64 would wrap
+    if np.abs(conjugated - closed).max() > 1e-12 * max(1.0, np.abs(closed).max()):
         raise RuntimeError("quotient entry rule mismatch beyond 1e-12")
     # exactly symmetric: d[j,k] |cell j| = d[k,j] |cell k| gives both one sign
     return _handed_over(QuotientGraph, n=p.m, weights=closed, partition=p, profile=profile)
@@ -251,42 +277,15 @@ def coarsest_equitable(g: SignedGraph, seed: Optional[Partition] = None) -> Part
 
     Cells are split by their (positive, negative) neighbour-count
     signatures against the current cells; new cells are numbered as their
-    smallest vertices appear, so the refinement is deterministic.
-
-    A vertex's signature is packed into int64 words of b-bit fields, one
-    field per (cell, layer), where b is the bit length of the largest degree
-    in a layer: no count exceeds it, so the fields never carry into each
-    other and equal words mean equal counts, at any multiplicity.  A round is
-    one ``np.add.at`` over the non-zero entries of the edge view and one
-    ``np.lexsort`` of the (cell, words) rows.
+    smallest vertices appear, so the refinement is deterministic.  Its count
+    pass is exact below 2^63 edges per vertex and layer, refused at or above.
     """
     seed = single_cell_partition(g.n) if seed is None else seed
     if seed.n != g.n:
         raise ValueError("seed partition size does not match the graph")
-    rows, cols, layers = _edge_view(g)
-    layer, entry = np.nonzero(layers)
-    rows, cols, counts = rows[entry], cols[entry], layers[layer, entry]
-    degrees = np.zeros(2 * g.n, dtype=np.int64)  # of each vertex in each layer, exactly
-    np.add.at(degrees, layer * g.n + rows, counts)
-    width = max(1, int(degrees.max()).bit_length())
-    per_word = 63 // width  # fields of a non-negative int64
-    labels, m = seed.cell_of, seed.m
-    while True:
-        field, size = 2 * labels[cols] + layer, -(-2 * m // per_word)
-        words = np.zeros(g.n * size, dtype=np.int64)
-        np.add.at(words, rows * size + field // per_word, counts << width * (field % per_word))
-        keys = (*words.reshape(g.n, size).T, labels)
-        order = np.lexsort(keys)  # by the cell, then by the words
-        new = np.zeros(g.n, dtype=bool)  # where a row differs from the one before it
-        new[0] = True
-        for key in keys:
-            ranked = key[order]
-            new[1:] |= ranked[1:] != ranked[:-1]
-        group = np.cumsum(new) - 1
-        if group[-1] + 1 == m:
-            return partition_from_cell_of(labels)
-        labels, m = np.empty(g.n, dtype=np.int64), int(group[-1]) + 1
-        labels[order] = group
+    for labels, _, _ in _signature_rounds(g, seed.cell_of, seed.m):
+        pass
+    return partition_from_cell_of(labels)
 
 
 @dataclass(frozen=True)

@@ -1098,6 +1098,26 @@ def test_edge_view_readers_make_no_layers(tmp_path):
         assert not vars(g).keys() & {"pos", "neg"}
 
 
+def test_edge_count_reads_the_edge_view(tmp_path):
+    # a file's graph is counted on its edges, without its n x n layers
+    write_edge_list(hypercube(11), tmp_path / "q11.txt")
+    q11 = read_signed_graph(tmp_path / "q11.txt")
+    tracemalloc.start()
+    try:
+        assert q11.edge_count() == 11 * 1024
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * 2048 and not vars(q11).keys() & {"pos", "neg"}
+    # and exactly: an int64 sum of these multiplicities wraps to 1
+    pos = np.zeros((4, 4), dtype=np.int64)
+    pos[0, 1] = pos[1, 0] = pos[0, 2] = pos[2, 0] = 2 ** 62
+    pos[1, 3] = pos[3, 1] = 1
+    big = SignedGraph(4, pos, 0 * pos, MULTIGRAPH)
+    assert big.edge_count() == 2 ** 63 + 1
+    assert SignedGraph(4, 0 * pos, pos, MULTIGRAPH).edge_count() == 2 ** 63 + 1
+
+
 _TOKENS = st.one_of(st.integers(0, 99), st.integers(10 ** 17, 10 ** 18 - 1))
 
 

@@ -65,6 +65,8 @@ def test_partition_constructors_and_validation():
         partition_from_cells([[0], [2]], n=3)  # vertex 1 missing
     with pytest.raises(ValueError):
         partition_from_cells([[0], []], n=1)  # empty cell
+    with pytest.raises(ValueError, match="^a partition needs n >= 0 vertices, got n=-1$"):
+        partition_from_cells([], n=-1)
 
 
 def reference_cells(cells, n):
@@ -423,6 +425,21 @@ def test_coarsest_equitable_matches_unique_rows_refinement():
                                   for k in range(got.m))
 
 
+def assert_is_equitable_by_dense_rows(g, p):
+    """is_equitable against the dense count rows [pos @ member | neg @ member]:
+    equitable iff every row is its cell's first row, the profile those rows."""
+    member = np.eye(p.m, dtype=np.int64)[p.cell_of]
+    counts = np.hstack([g.pos @ member, g.neg @ member])
+    first = counts[[cell[0] for cell in p.cells]]
+    ok, profile = is_equitable(g, p)
+    assert ok == np.array_equal(counts, first[p.cell_of])
+    if ok:
+        assert profile.d_plus.dtype == profile.d_minus.dtype == np.int64
+        assert np.array_equal(np.hstack([profile.d_plus, profile.d_minus]), first)
+    else:
+        assert profile is None
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seeded_multigraphs(), st.booleans())
 def test_bincount_refinement_matches_unique_rows(case, from_edges):
@@ -430,10 +447,12 @@ def test_bincount_refinement_matches_unique_rows(case, from_edges):
     if from_edges:  # the same multigraph built from its edge lines: the view from edges
         lines = np.array(list(graph_edges(g)), dtype=np.int64).reshape(-1, 3)
         g = build_signed_graph(g.n, lines, MULTIGRAPH)
-    member = np.eye(seed.m, dtype=np.int64)[seed.cell_of]
-    counts = quotient_module._cell_counts(g, seed.cell_of, seed.m)
-    assert np.array_equal(counts, np.hstack([g.pos @ member, g.neg @ member]))
-    assert np.array_equal(coarsest_equitable(g, seed).cell_of, unique_rows_refinement(g, seed))
+    coarsest = coarsest_equitable(g, seed)
+    assert np.array_equal(coarsest.cell_of, unique_rows_refinement(g, seed))
+    # is_equitable reads the refinement's count pass: its verdict and profile
+    # are the dense rows', on drawn (mostly inequitable) partitions too
+    for p in (seed, coarsest, single_cell_partition(g.n), discrete_partition(g.n)):
+        assert_is_equitable_by_dense_rows(g, p)
 
 
 @st.composite
@@ -499,11 +518,59 @@ def test_refinement_counts_large_multiplicities_exactly():
     # vertices 0 and 2 would count alike; the exact counts keep them apart
     big = 2 ** 53
     g = from_net_matrix([[0, big + 1, 0], [big + 1, 0, big], [0, big, 0]])
-    labels = np.zeros(3, dtype=np.int64)
-    assert quotient_module._cell_counts(g, labels, 1).tolist() == [
-        [big + 1, 0], [2 * big + 1, 0], [big, 0]]
     assert coarsest_equitable(g).m == 3
     assert not is_equitable(g, partition_from_cells([[0, 2], [1]]))[0]
+    for cells in ([[0, 1, 2]], [[0, 2], [1]], [[0], [1], [2]], [[1], [0, 2]]):
+        assert_is_equitable_by_dense_rows(g, partition_from_cells(cells))
+    ok, profile = is_equitable(g, discrete_partition(3))
+    assert ok and profile.d_plus.tolist() == [[0, big + 1, 0], [big + 1, 0, big], [0, big, 0]]
+    # equal multiplicities 2^53 + 1 on both sides: equitable, with exact counts
+    g = from_net_matrix([[0, big + 1, 0], [big + 1, 0, big + 1], [0, big + 1, 0]])
+    ok, profile = is_equitable(g, partition_from_cells([[0, 2], [1]]))
+    assert ok and profile.d_plus.tolist() == [[0, big + 1], [2 * big + 2, 0]]
+    assert not profile.d_minus.any()
+
+
+def test_degrees_of_two_to_the_63_are_refused():
+    # vertex 0 sees 2 * 2^62 = 2^63 edges, vertex 1 6 * 2^62: int64 wraps both,
+    # and words packed at the wrapped width would call {0, 1}, {2, 3}, {4..7} equitable
+    pos = np.zeros((8, 8), dtype=np.int64)
+    pos[0, [2, 3]] = pos[1, 2:] = 2 ** 62
+    pos = np.maximum(pos, pos.T)
+    g = SignedGraph(8, pos, 0 * pos, MULTIGRAPH)
+    p = partition_from_cells([[0, 1], [2, 3], [4, 5, 6, 7]])
+    message = "^a vertex has 2\\^63 or more edges in one layer"
+    for run in (lambda: coarsest_equitable(g), lambda: is_equitable(g, p), lambda: quotient(g, p)):
+        with pytest.raises(ValueError, match=message):
+            run()
+    # in the negative layer: 2^63 alone, which wraps negative, and sums past 2^64,
+    # of which the first wraps to 0
+    for top, k in ((2 ** 62, 2), (2 ** 62, 4), (2 ** 63 - 1, 4)):
+        layer = np.zeros((6, 6), dtype=np.int64)
+        layer[0, 1:k + 1] = layer[1:k + 1, 0] = top
+        with pytest.raises(ValueError, match=message):
+            is_equitable(SignedGraph(6, 0 * layer, layer, MULTIGRAPH), discrete_partition(6))
+    # 2^63 - 1 is a degree: it is counted exactly
+    layer = np.zeros((3, 3), dtype=np.int64)
+    layer[0, 1] = layer[1, 0] = 2 ** 62
+    layer[0, 2] = layer[2, 0] = 2 ** 62 - 1
+    g = SignedGraph(3, 0 * layer, layer, MULTIGRAPH)
+    assert coarsest_equitable(g).cells == ((0,), (1,), (2,))
+    ok, profile = is_equitable(g, discrete_partition(3))
+    assert ok and profile.d_minus.tolist() == layer.tolist()
+
+
+@pytest.mark.parametrize("d", [2 * 10 ** 9, 2 ** 40, 2 ** 53 + 1, 3 * 10 ** 9])
+def test_quotients_of_large_multiplicities(d):
+    # d^2 overflows int64 past about 3.04e9, and Q^T A Q is a float sum: the
+    # closed form is taken in float and checked relative to the largest entry
+    c4 = SignedGraph(4, d * cycle(4).pos, 0 * cycle(4).pos, MULTIGRAPH)
+    assert np.allclose(quotient(c4, single_cell_partition(4)).matrix, [[2 * d]], rtol=1e-15, atol=0)
+    p3 = from_net_matrix(d * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+    quot = quotient(p3, partition_from_cells([[0, 2], [1]]))
+    assert np.allclose(quot.matrix, [[0, d * math.sqrt(2)], [d * math.sqrt(2), 0]],
+                       rtol=1e-15, atol=0)
+    assert quot.profile.d_plus.tolist() == [[0, d], [2 * d, 0]]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
