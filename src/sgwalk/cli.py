@@ -46,10 +46,10 @@ from .multiparticle import (
     symmetric_power,
 )
 from .quotient import (
-    coarsest_equitable,
     partition_from_cells,
     quotient,
     read_partition,
+    single_cell_partition,
 )
 from .scenarios import (
     SCENARIO_IDS,
@@ -177,8 +177,9 @@ def load_signed_graph(path: str) -> SignedGraph:
     return graph
 
 
-def parse_cells(text: str):
-    """Parse inline partition cells: vertices comma-separated, cells by ';'."""
+def parse_cells(text: str, n: int):
+    """Parse inline partition cells of 0..n-1: vertices comma-separated, cells
+    by ';'.  Cells that do not partition 0..n-1 are bad arguments, as in a file."""
     cells = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -190,7 +191,10 @@ def parse_cells(text: str):
             raise UsageError(f"bad cell {chunk!r}: vertices must be integers") from None
     if not cells:
         raise UsageError("no cells given; use e.g. --cells '0;1;2,3,4,5'")
-    return cells
+    try:
+        return partition_from_cells(cells, n=n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -499,24 +503,24 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
 def cmd_quotient(args: argparse.Namespace) -> int:
     graph = load_signed_graph(args.graph)
     if args.cells:
-        partition = partition_from_cells(parse_cells(args.cells), n=graph.n)
+        seed = parse_cells(args.cells, graph.n)
     elif args.partition:
-        partition = _read_file(lambda path: read_partition(path, n=graph.n), args.partition)
+        seed = _read_file(lambda path: read_partition(path, n=graph.n), args.partition)
     else:
-        partition = coarsest_equitable(graph)
-    quot = quotient(graph, partition)
+        seed = single_cell_partition(graph.n)
+    quot = quotient(graph, seed)  # over the seed's coarsest equitable refinement
     if args.format == "json":
         emit_json(
             args,
             {
-                "cells": [list(cell) for cell in partition.cells],
+                "cells": [list(cell) for cell in quot.partition.cells],
                 "matrix": [[_json_number(x) for x in row] for row in quot.matrix],
                 "d_plus": [[int(x) for x in row] for row in quot.profile.d_plus],
                 "d_minus": [[int(x) for x in row] for row in quot.profile.d_minus],
             },
         )
     else:
-        labels = ["{" + ",".join(str(v) for v in cell) + "}" for cell in partition.cells]
+        labels = ["{" + ",".join(str(v) for v in cell) + "}" for cell in quot.partition.cells]
         emit(args, graph_document(quot, labels))
     return 0
 
@@ -674,8 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="equitable-partition quotient of a signed graph")
     p.add_argument("graph", help="edge-list file")
     cells = p.add_mutually_exclusive_group()
-    cells.add_argument("--cells", help="inline cells, e.g. '0;1;2,3,4,5'")
-    cells.add_argument("--partition", help="partition file: one cell per line")
+    cells.add_argument("--cells", help="inline seed cells, e.g. '0;1;2,3,4,5'")
+    cells.add_argument("--partition", help="seed partition file: one cell per line")
     p.set_defaults(handler="cmd_quotient")
 
     for name, blurb in (

@@ -10,12 +10,14 @@ matrix B with
 (zero when the signed degree vanishes), which equals Q^T A Q for the
 normalised partition indicator Q.  Walks commute with Q Q^T, so
 amplitudes between singleton cells survive the quotient exactly.
+``quotient(g, seed)`` is over the coarsest equitable partition refining any
+seed, and an equitable seed is kept as given.
 
 A partition is its vector of cell numbers.  Counts come from the graph's edge
 view (``core._edge_view``: from the edges of a value made from edges, as every
 signed file is read, else by one scan of its layers), so no n x n layers are made.
-The refinement and the equitability check share one count pass, exact below 2^63
-edges per vertex and layer and refused at or above.
+The refinement, the equitability check and the quotient share one count pass,
+exact below 2^63 edges per vertex and layer and refused at or above.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import SignedGraph, WeightedGraph, _edge_view, _handed_over
-from .spectral import WalkAmplitude, _check_vertex, amplitude
 
 __all__ = [
     "Partition",
@@ -46,8 +47,6 @@ __all__ = [
     "QuotientGraph",
     "quotient",
     "coarsest_equitable",
-    "TransferCheck",
-    "quotient_transfer_check",
 ]
 
 
@@ -210,6 +209,17 @@ def _signature_rounds(g: SignedGraph, labels: np.ndarray, m: int):
         labels[order] = group
 
 
+def _profile(rows: np.ndarray, width: int, order: np.ndarray) -> EquitableProfile:
+    """The profile in a row of signature words per cell, cell k's counts in the
+    fields of round label ``order[k]``: gathered once, shifted and masked in place."""
+    m, per_word = len(order), 63 // width
+    field = np.concatenate([order, order + m])  # the + fields, then the - fields
+    counts = rows[:, field // per_word]
+    counts >>= width * (field % per_word)
+    counts &= (1 << width) - 1
+    return EquitableProfile(counts[:, :m], counts[:, m:])
+
+
 def is_equitable(g: SignedGraph, p: Partition):
     """Check equitability for both edge layers at once: (True, profile) when every
     vertex's signature words are its cell's first vertex's, whose fields are the
@@ -220,10 +230,7 @@ def is_equitable(g: SignedGraph, p: Partition):
     rows = words[np.unique(p.cell_of, return_index=True)[1]]  # each cell's first vertex
     if (words != rows[p.cell_of]).any():
         return False, None
-    m, per_word = len(rows), 63 // width
-    field = np.arange(2 * m)
-    counts = rows[:, field // per_word] >> width * (field % per_word) & (1 << width) - 1
-    return True, EquitableProfile(counts[:, :m], counts[:, m:])  # the + and the - counts
+    return True, _profile(rows, width, np.arange(len(rows)))
 
 
 def normalized_partition_matrix(p: Partition) -> np.ndarray:
@@ -235,11 +242,11 @@ def normalized_partition_matrix(p: Partition) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuotientGraph(WeightedGraph):
-    """Weighted quotient graph with its partition and exact cell degrees.
+    """Weighted quotient graph with its equitable partition and exact cell degrees.
 
     ``weights`` holds the floating-point quotient entries; the integer
-    profile is kept alongside so every entry can be reproduced exactly
-    as sign(d[j,k]) * sqrt(|d[j,k] d[k,j]|).
+    profile, in the partition's cell order, is kept alongside so every entry
+    can be reproduced exactly as sign(d[j,k]) * sqrt(|d[j,k] d[k,j]|).
     """
 
     partition: Partition
@@ -252,15 +259,21 @@ class QuotientGraph(WeightedGraph):
 
 
 def quotient(g: SignedGraph, p: Partition) -> QuotientGraph:
-    """Quotient of a signed graph over an equitable partition.
+    """Quotient of a signed graph over the coarsest equitable partition refining ``p``.
 
+    An equitable ``p`` is kept as given, cell order and all; any other is refined
+    to ``coarsest_equitable(g, p)`` by one pass that also yields the profile.
     The conjugated matrix Q^T A Q is verified against the closed-form entry
     rule to 1e-12 times its largest entry (or 1) before being returned; its
     entry (j, k) is the net edge count from cell j to cell k over sqrt(|cell j| |cell k|).
     """
-    ok, profile = is_equitable(g, p)
-    if not ok:
-        raise ValueError("partition is not equitable")
+    if p.n != g.n:
+        raise ValueError("partition size does not match the graph")
+    for labels, words, width in _signature_rounds(g, p.cell_of, p.m):
+        pass
+    p = p if labels is p.cell_of else partition_from_cell_of(labels)  # split: renumbered
+    first = np.unique(p.cell_of, return_index=True)[1]  # each cell's first vertex
+    profile = _profile(words[first], width, labels[first])
     rows, cols, (pos, neg) = _edge_view(g)
     net = np.bincount(p.cell_of[rows] * p.m + p.cell_of[cols], pos - neg, p.m * p.m)
     conjugated = net.reshape(p.m, p.m) / np.sqrt(np.outer(p.sizes(), p.sizes()))
@@ -286,30 +299,3 @@ def coarsest_equitable(g: SignedGraph, seed: Optional[Partition] = None) -> Part
     for labels, _, _ in _signature_rounds(g, seed.cell_of, seed.m):
         pass
     return partition_from_cell_of(labels)
-
-
-@dataclass(frozen=True)
-class TransferCheck:
-    """Full-graph versus quotient amplitude between singleton cells."""
-
-    full: WalkAmplitude
-    reduced: WalkAmplitude
-    agree: bool
-
-
-def quotient_transfer_check(g: SignedGraph, p: Partition, a: int, b: int,
-                            t: float, tol: float = 1e-10) -> TransferCheck:
-    """Compare the walk on the graph with the walk on its quotient.
-
-    The start and target vertices must form singleton cells; then the
-    two amplitudes agree exactly and the check simply confirms the
-    numerics to ``tol``.
-    """
-    a, b = _check_vertex("a", a, g.n), _check_vertex("b", b, g.n)
-    ca, cb = int(p.cell_of[a]), int(p.cell_of[b])
-    if (p.sizes()[[ca, cb]] != 1).any():
-        raise ValueError("transfer endpoints must be singleton cells")
-    full = amplitude(g, a, b, t)
-    reduced = amplitude(quotient(g, p), ca, cb, t)
-    agree = abs(full.value - reduced.value) <= tol
-    return TransferCheck(full, reduced, agree)

@@ -74,7 +74,6 @@ from .quotient import (
     partition_from_cell_of,
     partition_from_cells,
     quotient,
-    quotient_transfer_check,
 )
 from .multiparticle import (
     _conjugate_exterior,
@@ -444,12 +443,11 @@ def _quotient_equiv() -> list:
     claims.append(_close("averaging projector commutes with the adjacency",
                          0.0, float(np.abs(proj @ a - a @ proj).max()),
                          1e-11, "claimed"))
-    # one quotient and one spectrum each for all 100 times; the check itself at the last
+    # one quotient and one spectrum each for all 100 times
     times = np.linspace(0.0, 2 * math.pi, 100)
     full = amplitude_series(g, 0, 1, times)
     reduced = amplitude_series(q, part.cell_of[0], part.cell_of[1], times)
-    tc = quotient_transfer_check(g, part, 0, 1, float(times[-1]))
-    worst = max(float(np.abs(full - reduced).max()), abs(tc.full.value - tc.reduced.value))
+    worst = float(np.abs(full - reduced).max())
     claims.append(_at_most("full walk vs quotient walk between the clique "
                            "pair: max amplitude deviation at 100 times",
                            AMPLITUDE_TOL, worst, "claimed"))

@@ -862,10 +862,17 @@ def test_quotient_outputs(capsys, tmp_path):
                        "--to", "1", "--time", "pi/sqrt(12)")
     assert code == 0
     assert "fidelity=1.000000000000" in out
-    # inequitable cells are a domain error
-    code, _, err = run(capsys, "quotient", str(target),
-                       "--cells", "0;1,2;3,4,5")
-    assert code == 3 and "equitable" in err
+    # inequitable cells are a seed: the quotient is over their coarsest equitable refinement
+    code, out, err = run(capsys, "quotient", str(target),
+                         "--cells", "0;1,2;3,4,5", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["cells"] == [[0], [1], [2], [3, 4, 5]]
+    # cells that do not partition 0..5 are bad arguments, inline or in a file
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("0\n1\n2 3 4\n")
+    for source in (["--cells", "0;1;2,3,4"], ["--partition", str(malformed)]):
+        assert run(capsys, "quotient", str(target), *source) == (
+            2, "", "error: cells must partition 0..5 exactly\n")
     # inline cells and a partition file exclude each other
     partition = tmp_path / "cells.txt"
     partition.write_text("0\n1\n2 3 4 5\n")
@@ -903,6 +910,10 @@ def test_quotient_of_a_constructed_hypercube_at_scale(capsys, tmp_path):
     j = np.arange(10)
     want[j, j + 1] = want[j + 1, j] = np.sqrt((j + 1) * (10 - j))
     assert np.abs(np.array(payload["matrix"]) - want).max() < 1e-12
+    # seeded by vertex 0 alone, the same quotient: the seed refines to the weights
+    code, seeded_out, err = run(capsys, "quotient", str(target), "--format", "json",
+                                "--cells", "0;" + ",".join(map(str, range(1, 1024))))
+    assert (code, err) == (0, "") and json.loads(seeded_out) == payload
 
 
 def test_power_subcommands(capsys, tmp_path):

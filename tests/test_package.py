@@ -17,7 +17,7 @@ EXPORTED = """
     BalanceVerdict Claim CubelikeSpec DEFAULT_GRID_STEP DEFAULT_TOL EquitableProfile
     JoinPstCondition JoinSpectralData LayeredVertex MULTIGRAPH Partition PstVerdict
     QuotientGraph REPORT_SCHEMA RegularGraphStats SCENARIO_IDS SIMPLE ScenarioReport
-    SignedGraph Spectrum TransferCheck WalkAmplitude WeightedGraph adjacency_matrix
+    SignedGraph Spectrum WalkAmplitude WeightedGraph adjacency_matrix
     amplitude amplitude_series antipodal_pairs antisymmetrizer balance_verdict
     boson_formula_comparison boson_quotient boson_quotient_oracle build_signed_graph
     cartesian_power_matrix cartesian_product circulant coarsest_equitable cocktail_party
@@ -27,7 +27,7 @@ EXPORTED = """
     is_equitable is_periodic is_periodic_at is_pst join_pst_condition join_spectral_data
     k_subsets multiset_rank multiset_states negative_part normalized_partition_matrix
     partition_from_cell_of partition_from_cells path permutation_graph petersen
-    positive_part propagator pst_search quotient quotient_transfer_check random_regular
+    positive_part propagator pst_search quotient random_regular
     read_partition read_signed_graph read_weighted_graph regular_stats report_to_dict
     run_all_scenarios run_scenario signed_join signed_join_amplitude signed_union
     single_cell_partition subset_rank subset_unrank switch symmetric_power symmetrizer
@@ -43,7 +43,7 @@ def test_the_package_exports_exactly_its_modules_lists():
     public = {name for name, value in vars(sgwalk).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == declared
-    assert len(EXPORTED) == 98 and set(EXPORTED) <= public
+    assert len(EXPORTED) == 96 and set(EXPORTED) <= public
     assert public - set(EXPORTED) == {"format_partition", "MAX_POWER_STATES"}
     for name in declared:
         module = next(m for m, names in lists.items() if name in names)

@@ -1,11 +1,13 @@
 """Equitable partitions, quotient matrices and walk compression."""
 
+import ast
 import dataclasses
 import importlib
 import math
 import tracemalloc
 import unittest.mock
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +38,8 @@ from sgwalk import (
     partition_from_cells,
     propagator,
     quotient,
-    quotient_transfer_check,
     read_partition,
+    read_signed_graph,
     signed_join,
     single_cell_partition,
     switch,
@@ -183,9 +185,25 @@ def test_quotient_identities():
     assert np.abs(a @ bad_proj - bad_proj @ a).max() > 1e-3
 
 
-def test_quotient_rejects_inequitable_partitions():
-    with pytest.raises(ValueError):
-        quotient(edge_join(), partition_from_cells([[0], [1, 2], [3, 4, 5]]))
+def test_quotient_refines_inequitable_partitions():
+    # the seed {0}, {1, 2}, {3, 4, 5} is not equitable: 2 sees one edge into
+    # {1, 2} and 1 two, so the quotient is over its coarsest equitable refinement
+    g = edge_join()
+    quot = quotient(g, partition_from_cells([[0], [1, 2], [3, 4, 5]]))
+    assert quot.partition.cells == ((0,), (1,), (2,), (3, 4, 5))
+    s3 = math.sqrt(3)
+    assert np.abs(quot.matrix - np.array([[0, -1, 1, s3], [-1, 0, 1, s3], [1, 1, 0, s3],
+                                          [s3, s3, s3, 2]])).max() < 1e-12
+    assert quot.profile.d_plus.tolist() == [[0, 0, 1, 3], [0, 0, 1, 3], [1, 1, 0, 3],
+                                            [1, 1, 1, 2]]
+    # an equitable seed is kept as given, the same value in its own cell order
+    seed = partition_from_cells([[2, 3, 4, 5], [1], [0]])
+    quot = quotient(g, seed)
+    assert quot.partition is seed
+    assert quot.profile.d_plus.tolist() == [[3, 1, 1], [4, 0, 0], [4, 0, 0]]
+    assert quot.profile.d_minus.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0]]
+    with pytest.raises(ValueError, match="^partition size does not match the graph$"):
+        quotient(g, single_cell_partition(5))
 
 
 def test_discrete_quotient_is_the_adjacency():
@@ -195,31 +213,18 @@ def test_discrete_quotient_is_the_adjacency():
 
 
 def test_quotient_transfer_agreement():
+    # singleton cells a, b: the walk from a to b is the quotient walk between their cells
     g = edge_join()
     p = partition_from_cells([[0], [1], [2, 3, 4, 5]])
+    quot = quotient(g, p)
     worst = 0.0
     for t in np.linspace(0.0, 2 * math.pi, 100):
-        check = quotient_transfer_check(g, p, 0, 1, float(t))
-        assert check.agree
-        worst = max(worst, abs(check.full.value - check.reduced.value))
+        full = amplitude(g, 0, 1, float(t)).value
+        worst = max(worst, abs(full - amplitude(quot, p.cell_of[0], p.cell_of[1], float(t)).value))
     assert worst < 1e-10
-    with pytest.raises(ValueError):
-        quotient_transfer_check(g, partition_from_cells([[0, 1], [2, 3, 4, 5]]),
-                                0, 1, 1.0)
-    quot = quotient(g, p)
     t = math.pi / math.sqrt(12)
     assert abs(amplitude(g, 0, 1, t).value
                - amplitude(quot, 0, 1, t).value) < 1e-10
-
-
-def test_quotient_transfer_check_refuses_vertices_out_of_range():
-    g = edge_join()
-    p = partition_from_cells([[0], [1], [2, 3, 4, 5]])
-    # unchecked, a = n would index past cell_of and a = -1 would reach the last cell
-    for a, b, label, v in ((6, 1, "a", 6), (-1, 1, "a", -1), (0, 6, "b", 6)):
-        with pytest.raises(ValueError) as info:
-            quotient_transfer_check(g, p, a, b, 1.0)
-        assert str(info.value) == f"vertex {label}={v} out of range for 6 vertices"
 
 
 def test_coarsest_equitable_cases():
@@ -329,6 +334,35 @@ def test_quotient_walk_is_the_compressed_full_walk(case, t):
     q = normalized_partition_matrix(p)
     reduced = propagator(quotient(g, p), t)
     assert np.abs(q.T @ propagator(g, t) @ q - reduced).max() < 1e-10
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seeded_multigraphs(), st.randoms(use_true_random=False))
+def test_quotient_refines_its_seed_in_one_pass(case, rng):
+    g, seed = case
+    coarsest = coarsest_equitable(g, seed)
+    quot = quotient(g, seed)
+    assert quot.partition.cells == coarsest.cells
+    assert quot.partition is seed or not is_equitable(g, seed)[0]
+    two_calls = quotient(g, coarsest)
+    assert two_calls.partition is coarsest
+    assert np.array_equal(quot.matrix, two_calls.matrix)  # bit for bit
+    profile = is_equitable(g, coarsest)[1]
+    for got in (quot.profile, two_calls.profile):
+        assert got.d_plus.dtype == got.d_minus.dtype == np.int64
+        assert np.array_equal(got.d_plus, profile.d_plus)
+        assert np.array_equal(got.d_minus, profile.d_minus)
+    # an equitable seed comes back itself, in its own cell order: the cells
+    # shuffled, so mostly not numbered by their first vertex
+    cells = list(coarsest.cells)
+    rng.shuffle(cells)
+    shuffled = partition_from_cells(cells, g.n)
+    quot = quotient(g, shuffled)
+    assert quot.partition is shuffled
+    order = [coarsest.cells.index(cell) for cell in cells]
+    assert np.array_equal(quot.profile.d_plus, profile.d_plus[np.ix_(order, order)])
+    assert np.array_equal(quot.profile.d_minus, profile.d_minus[np.ix_(order, order)])
+    assert np.array_equal(quot.matrix, two_calls.matrix[np.ix_(order, order)])
 
 
 def first_appearance(labels):
@@ -625,9 +659,45 @@ def test_quotient_checks_the_closed_form_without_a_dense_matrix(monkeypatch):
     assert peak < g.n * g.n  # an n x n int64 matrix is 8 n^2 bytes
     q = normalized_partition_matrix(p)
     assert np.abs(q.T @ g.adjacency @ q - quot.matrix).max() < 1e-12
-    # a closed form that disagrees with Q^T A Q still fails the check
-    profile = is_equitable(g, p)[1]
-    wrong = EquitableProfile(profile.d_plus + 1, profile.d_minus.copy())
-    monkeypatch.setattr(quotient_module, "is_equitable", lambda *_: (True, wrong))
-    with pytest.raises(RuntimeError, match="^quotient entry rule mismatch beyond 1e-12$"):
-        quotient(g, p)
+    # a closed form that disagrees with Q^T A Q still fails the check: the
+    # profile unpacked from the refinement's last words, one count off
+    unpack = quotient_module._profile
+
+    def off_by_one(*args):
+        profile = unpack(*args)
+        return EquitableProfile(profile.d_plus + 1, profile.d_minus.copy())
+
+    monkeypatch.setattr(quotient_module, "_profile", off_by_one)
+    for seed in (p, partition_from_cells([[0], list(range(1, g.n))])):
+        with pytest.raises(RuntimeError, match="^quotient entry rule mismatch beyond 1e-12$"):
+            quotient(g, seed)
+
+
+def test_is_equitable_unpacks_the_profile_in_place(tmp_path):
+    # the discrete partition of a Q9 file: 512 cells, a (512, 1024) int64
+    # profile of 4 MiB, unpacked by one gather without further temporaries
+    target = tmp_path / "q9.txt"
+    target.write_text(format_edge_list(hypercube(9)))
+    g = read_signed_graph(target)
+    p = discrete_partition(g.n)
+    is_equitable(g, p)  # the edge view, once per graph
+    tracemalloc.start()
+    try:
+        ok, profile = is_equitable(g, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = profile.d_plus.nbytes + profile.d_minus.nbytes
+    assert ok and size == 2 * 512 * 512 * 8
+    assert np.array_equal(profile.d_plus, hypercube(9).pos) and not profile.d_minus.any()
+    assert peak < 1.5 * size
+
+
+def test_the_structure_layer_imports_no_walks():
+    # spectral and the scenarios may call the quotient, never the reverse
+    src = Path(quotient_module.__file__).parent
+    for name in ("quotient", "core", "construct"):
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                named = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                assert not {x.split(".")[-1] for x in named} & {"spectral", "scenarios"}, name
