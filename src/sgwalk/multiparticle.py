@@ -7,6 +7,9 @@ the symmetric analogue keeps the same support with all-positive signs,
 and projecting onto unordered occupation states gives the weighted
 boson ladder.
 
+The oracles share one private conjugation kernel over adjacency stacks
+(..., n, n), a graph a stack of one; ``ext-c4`` conjugates a stack per (n, k).
+
 Conventions: subsets are written sorted ascending and enumerated in
 lexicographic order; multisets likewise as sorted tuples.  Tuple states
 of the power graph are indexed with the first coordinate most
@@ -236,30 +239,35 @@ def exterior_power_oracle(g: SignedGraph, k: int) -> WeightedGraph:
     """Independent route to the exterior power: conjugate the Cartesian
     power by the antisymmetrizer and round to exact {-1, 0, +1} entries."""
     _require_unsigned(g, "exterior_power_oracle")
-    return _conjugate_exterior(g, k, antisymmetrizer(g.n, k))  # checks the n^k cap first
+    alt = antisymmetrizer(g.n, k)  # checks the n^k cap first
+    return WeightedGraph(alt.shape[1], _conjugate_exterior(g.adjacency, k, alt))
 
 
-def _conjugate_exterior(g: SignedGraph, k: int, alt: np.ndarray) -> WeightedGraph:
-    """:func:`exterior_power_oracle` with the antisymmetrizer of (g.n, k)
-    given, so that callers conjugating many graphs build it once.  The
-    Cartesian power acts factor by factor, as in :func:`_conjugate_power`."""
-    w = _conjugate_power(g, k, alt)
+def _conjugate_exterior(adj: np.ndarray, k: int, alt: np.ndarray) -> np.ndarray:
+    """:func:`exterior_power_oracle`'s weights, (..., S, S), for each adjacency of the
+    stack (..., n, n), the antisymmetrizer of (n, k) given: callers with many graphs
+    build it once and pass one stack.  An error names the first matrix that fails."""
+    w = _conjugate_power(adj, k, alt)
     rounded = np.rint(w)
-    if np.abs(w - rounded).max() > 1e-9:
-        raise RuntimeError("exterior power conjugation is not integral to 1e-9")
-    if np.abs(rounded).max(initial=0.0) > 1:
-        raise RuntimeError("exterior power conjugation left an entry outside {-1,0,+1}")
-    return WeightedGraph(w.shape[0], rounded)
+    for bad, message in ((~(np.abs(w - rounded) <= 1e-9), "is not integral to 1e-9"),  # NaN too
+                         (np.abs(rounded) > 1, "left an entry outside {-1,0,+1}")):
+        if bad.any():
+            where = ", ".join(map(str, np.argwhere(bad)[0][:-2]))
+            raise RuntimeError(f"exterior power conjugation {message}"
+                               + (f" (stack index {where})" if where else ""))
+    return rounded
 
 
-def _conjugate_power(g: SignedGraph, k: int, iso: np.ndarray) -> np.ndarray:
-    """iso^T B iso for B = :func:`cartesian_power_matrix` (g, k), applied as
-    A on each tuple digit of iso's columns in turn: no n^k x n^k matrix."""
-    _check_states("n^k", g.n ** k)
-    a = g.adjacency.astype(float)
-    cols = iso.reshape((g.n,) * k + (-1,))
-    box_iso = sum(np.moveaxis(np.tensordot(a, cols, axes=(1, i)), 0, i) for i in range(k))
-    return iso.T @ box_iso.reshape(iso.shape)
+def _conjugate_power(adj: np.ndarray, k: int, iso: np.ndarray) -> np.ndarray:
+    """iso^T B iso, (..., S, S), for B the :func:`cartesian_power_matrix` of each
+    adjacency A of the stack (..., n, n), a single A a stack of one.  A acts on each
+    tuple digit of iso's columns in turn, the digits before it batched: no n^k x n^k
+    matrix, and each matrix of a stack gets the bits it gets alone."""
+    n, lead = adj.shape[-1], adj.shape[:-2]
+    _check_states("n^k", n ** k)
+    a = adj.astype(float)[..., None, :, :]
+    box_iso = sum((a @ iso.reshape(n ** i, n, -1)).reshape(*lead, *iso.shape) for i in range(k))
+    return iso.T @ box_iso
 
 
 def symmetric_power(g: SignedGraph, k: int) -> SignedGraph:
@@ -283,7 +291,7 @@ def boson_quotient_oracle(g: SignedGraph, k: int) -> WeightedGraph:
     conjugated by the multiset symmetrizer."""
     _require_unsigned(g, "boson_quotient_oracle")
     sym = symmetrizer(g.n, k)  # checks the n^k cap first
-    return WeightedGraph(sym.shape[1], _conjugate_power(g, k, sym))
+    return WeightedGraph(sym.shape[1], _conjugate_power(g.adjacency, k, sym))
 
 
 def boson_formula_comparison(g: SignedGraph, k: int) -> list:

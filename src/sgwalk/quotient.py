@@ -269,17 +269,28 @@ def quotient(g: SignedGraph, p: Partition) -> QuotientGraph:
     """
     if p.n != g.n:
         raise ValueError("partition size does not match the graph")
-    for labels, words, width in _signature_rounds(g, p.cell_of, p.m):
-        pass
-    p = p if labels is p.cell_of else partition_from_cell_of(labels)  # split: renumbered
+    rounds = _signature_rounds(g, p.cell_of, p.m)
+    labels, words, width = next(rounds)
     first = np.unique(p.cell_of, return_index=True)[1]  # each cell's first vertex
+    if (words != words[first][labels]).any():  # not equitable, as is_equitable tests
+        for labels, words, width in rounds:
+            pass
+        p = partition_from_cell_of(labels)  # split: renumbered
+        first = np.unique(p.cell_of, return_index=True)[1]
+    rounds.close()  # the pass's edge arrays go before the check's m x m arrays
     profile = _profile(words[first], width, labels[first])
+    ds = profile.d_signed  # a new array; the check's m x m arrays are reused in place
+    closed = np.multiply(ds, ds.T, dtype=float)  # int64 would wrap
+    np.copysign(np.sqrt(np.abs(closed, out=closed), out=closed), ds, out=closed)
+    del ds
     rows, cols, (pos, neg) = _edge_view(g)
     net = np.bincount(p.cell_of[rows] * p.m + p.cell_of[cols], pos - neg, p.m * p.m)
-    conjugated = net.reshape(p.m, p.m) / np.sqrt(np.outer(p.sizes(), p.sizes()))
-    ds = profile.d_signed
-    closed = np.sign(ds) * np.sqrt(np.abs(ds * ds.T.astype(float)))  # int64 would wrap
-    if np.abs(conjugated - closed).max() > 1e-12 * max(1.0, np.abs(closed).max()):
+    conjugated = net.astype(float, copy=False).reshape(p.m, p.m)  # int64 when edgeless
+    root = np.sqrt(p.sizes())
+    conjugated /= root[:, None]
+    conjugated /= root
+    conjugated -= closed
+    if np.abs(conjugated, out=conjugated).max() > 1e-12 * max(1.0, closed.max(), -closed.min()):
         raise RuntimeError("quotient entry rule mismatch beyond 1e-12")
     # exactly symmetric: d[j,k] |cell j| = d[k,j] |cell k| gives both one sign
     return _handed_over(QuotientGraph, n=p.m, weights=closed, partition=p, profile=profile)

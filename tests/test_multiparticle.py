@@ -39,7 +39,8 @@ from sgwalk import (
     symmetric_power,
     symmetrizer,
 )
-from sgwalk.multiparticle import MAX_POWER_STATES, _conjugate_exterior, _hop_nets
+from sgwalk.multiparticle import (MAX_POWER_STATES, _conjugate_exterior, _conjugate_power,
+                                  _hop_nets)
 
 
 def all_graphs(n):
@@ -189,16 +190,65 @@ def test_oracles_conjugate_factor_by_factor_as_the_dense_kronecker_sum():
 
 def test_oracles_check_the_tuple_cap_before_allocating():
     g = cycle(64)  # 64^4 tuples: a dense Kronecker sum would take 2 PiB
+    stack = np.stack([g.adjacency] * 8)
     tracemalloc.start()
     try:
         for call in (lambda: exterior_power_oracle(g, 4), lambda: boson_quotient_oracle(g, 4),
-                     lambda: _conjugate_exterior(g, 4, np.zeros((0, 0)))):
+                     lambda: _conjugate_exterior(g.adjacency, 4, np.zeros((0, 0))),
+                     lambda: _conjugate_exterior(stack, 4, np.zeros((0, 0))),
+                     lambda: _conjugate_power(stack, 4, np.zeros((0, 0)))):
             with pytest.raises(ValueError, match="desk-scale cap"):
                 call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@st.composite
+def conjugation_stacks(draw):
+    """A stack of 1-8 simple graphs on n <= 6 vertices, and an order k <= 3."""
+    n = draw(st.integers(1, 6))
+    size = draw(st.integers(1, 8))
+    bits = draw(st.lists(st.integers(0, 1), min_size=size * n * n,
+                         max_size=size * n * n))
+    upper = np.triu(np.array(bits, dtype=np.int64).reshape(size, n, n), k=1)
+    return upper + upper.transpose(0, 2, 1), draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(conjugation_stacks())
+def test_a_stacked_conjugation_is_each_graph_conjugated_alone(case):
+    stack, k = case
+    n = stack.shape[-1]
+    sym = symmetrizer(n, k)
+    stacked = _conjugate_power(stack, k, sym)
+    assert stacked.shape == (len(stack), sym.shape[1], sym.shape[1])
+    for adj, got in zip(stack, stacked):  # bit for bit
+        assert np.array_equal(got, boson_quotient_oracle(from_net_matrix(adj), k).weights)
+    if k <= n:
+        stacked = _conjugate_exterior(stack, k, antisymmetrizer(n, k))
+        for adj, got in zip(stack, stacked):
+            assert np.array_equal(got, exterior_power_oracle(from_net_matrix(adj), k).weights)
+
+
+def test_a_failing_matrix_is_named_by_its_stack_index():
+    # at k = 1 the antisymmetrizer is the identity: the conjugation is the adjacency
+    good = cycle(4).adjacency.astype(float)
+    half, two, nan = good.copy(), good.copy(), good.copy()
+    half[0, 1] = half[1, 0] = 0.5
+    two[0, 1] = two[1, 0] = 2.0
+    nan[0, 1] = nan[1, 0] = np.nan
+    alt = antisymmetrizer(4, 1)
+    for stack, message in (([good, good, half], r"integral to 1e-9 \(stack index 2\)$"),
+                           ([good, two, half], r"integral to 1e-9 \(stack index 2\)$"),
+                           ([good, two, good], r"outside \{-1,0,\+1\} \(stack index 1\)$"),
+                           ([nan, good], r"integral to 1e-9 \(stack index 0\)$")):
+        with pytest.raises(RuntimeError, match=message):
+            _conjugate_exterior(np.array(stack), 1, alt)
+    with pytest.raises(RuntimeError, match=r"outside \{-1,0,\+1\}$"):  # a single matrix
+        _conjugate_exterior(two, 1, alt)
+    assert np.array_equal(_conjugate_exterior(np.array([good] * 3), 1, alt), [good] * 3)
 
 
 def test_exterior_power_sign_rule_on_random_larger_graphs():

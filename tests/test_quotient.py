@@ -693,6 +693,25 @@ def test_is_equitable_unpacks_the_profile_in_place(tmp_path):
     assert peak < 1.5 * size
 
 
+def test_quotient_checks_the_closed_form_in_place(tmp_path, monkeypatch):
+    # the same 4 MiB profile: the check's 2 MiB float arrays are made one at a
+    # time, and an equitable partition is kept after one round, with no sort of its words
+    target = tmp_path / "q9.txt"
+    target.write_text(format_edge_list(hypercube(9)))
+    g = read_signed_graph(target)
+    p = discrete_partition(g.n)
+    quotient(g, p)  # the edge view, once per graph
+    monkeypatch.setattr(np, "lexsort", None)
+    tracemalloc.start()
+    try:
+        quot = quotient(g, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quot.partition is p and np.array_equal(quot.matrix, hypercube(9).adjacency)
+    assert peak < 12 * 2 ** 20
+
+
 def test_the_structure_layer_imports_no_walks():
     # spectral and the scenarios may call the quotient, never the reverse
     src = Path(quotient_module.__file__).parent
