@@ -303,7 +303,9 @@ _REGULAR_TRIALS = 5000  # stub matchings random_regular tries before giving up
 def random_regular(n: int, k: int, seed: int = 0) -> SignedGraph:
     """Seeded random simple k-regular graph: stub matching with rejection,
     16 trials per draw; same graph per seed as one shuffle per trial (a row
-    of ``rng.permuted(..., axis=1)`` draws the stream as ``rng.shuffle``)."""
+    of ``rng.permuted(..., axis=1)`` draws the stream as ``rng.shuffle``).
+    The rejection test proves the pairs simple: they are handed over as a value
+    made from edges, with no second check and no layers until asked for."""
     if n * k % 2:
         raise ValueError("n * k must be even")
     if not 0 < k < n:
@@ -311,11 +313,12 @@ def random_regular(n: int, k: int, seed: int = 0) -> SignedGraph:
     rng = np.random.default_rng(seed)
     stubs = np.broadcast_to(np.repeat(np.arange(n), k), (16, n * k))
     for start in range(0, _REGULAR_TRIALS, len(stubs)):
-        ends = rng.permuted(stubs[:_REGULAR_TRIALS - start], axis=1).reshape(-1, n * k // 2, 2)
-        lo, hi = ends.min(axis=2), ends.max(axis=2)
-        keys = np.sort(lo * n + hi, axis=1)
+        ends = rng.permuted(stubs[:_REGULAR_TRIALS - start], axis=1)
+        lo, hi = np.minimum(ends[:, ::2], ends[:, 1::2]), np.maximum(ends[:, ::2], ends[:, 1::2])
+        keys = lo * n + hi
+        keys.sort(axis=1)
         good = (lo < hi).all(axis=1) & (keys[:, 1:] > keys[:, :-1]).all(axis=1)
         if good.any():
-            lo, hi = lo[good.argmax()], hi[good.argmax()]
-            return build_signed_graph(n, np.column_stack([lo, hi, np.ones_like(lo)]))
+            i = good.argmax()
+            return _signed_value(n, SIMPLE, _edges=(np.array((lo[i], hi[i])), np.zeros_like(lo[i])))
     raise RuntimeError(f"could not sample a simple {k}-regular graph on {n} vertices")

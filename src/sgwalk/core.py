@@ -94,6 +94,28 @@ def _int_matrix(m, name: str, n: int) -> np.ndarray:
     return a
 
 
+def _check_layers(layers: np.ndarray, mode: str) -> None:
+    """The matrix-wide check of int64 (2, n, n) layers pos and neg: symmetry, zero
+    diagonal and signs of the counts layer by layer, then the mode's rules."""
+    asymmetric = (layers != layers.swapaxes(1, 2)).any(axis=(1, 2))
+    loops = layers.diagonal(axis1=1, axis2=2).any(axis=1)
+    negative = layers.min(axis=(1, 2)) < 0
+    for k, name in enumerate(("pos", "neg")):
+        if asymmetric[k]:
+            raise ValueError(f"{name} matrix must be symmetric")
+        if loops[k]:
+            raise ValueError("self-loops are not allowed")
+        if negative[k]:
+            raise ValueError(f"{name} multiplicities must be non-negative")
+    if mode == SIMPLE:
+        if layers.max() > 1:
+            raise ValueError("simple mode forbids parallel edges")
+        if np.vdot(layers[0], layers[1]):  # entries are 0 or 1 here: it counts shared pairs
+            raise ValueError("simple mode forbids a positive and a negative edge on the same pair")
+    elif mode != MULTIGRAPH:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SignedGraph:
     """Signed adjacency split into a positive and a negative edge layer.
@@ -118,25 +140,7 @@ class SignedGraph:
         layers.setflags(write=False)
         object.__setattr__(self, "pos", layers[0])
         object.__setattr__(self, "neg", layers[1])
-        asymmetric = (layers != layers.swapaxes(1, 2)).any(axis=(1, 2))
-        loops = layers.diagonal(axis1=1, axis2=2).any(axis=1)
-        negative = layers.min(axis=(1, 2)) < 0
-        for k, name in enumerate(("pos", "neg")):
-            if asymmetric[k]:
-                raise ValueError(f"{name} matrix must be symmetric")
-            if loops[k]:
-                raise ValueError("self-loops are not allowed")
-            if negative[k]:
-                raise ValueError(f"{name} multiplicities must be non-negative")
-        if self.mode == SIMPLE:
-            if layers.max() > 1:
-                raise ValueError("simple mode forbids parallel edges")
-            if np.vdot(self.pos, self.neg):  # entries are 0 or 1 here: it counts shared pairs
-                raise ValueError(
-                    "simple mode forbids a positive and a negative edge on the same pair"
-                )
-        elif self.mode != MULTIGRAPH:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        _check_layers(layers, self.mode)
 
     def __getattr__(self, name):
         # reached only for ``pos`` and ``neg`` of a value made from edges,
@@ -337,8 +341,14 @@ def from_net_matrix(matrix, mode: Optional[str] = None) -> SignedGraph:
     a = a.astype(np.int64, copy=False)
     if mode is None:
         mode = SIMPLE if max(int(a.max(initial=0)), -int(a.min(initial=0))) <= 1 else MULTIGRAPH
-    pos = np.maximum(a, 0)
-    return SignedGraph(n, pos, pos - a, mode)
+    if n < 1:
+        raise ValueError("a graph needs at least one vertex")
+    if a.shape != (n, n):
+        raise ValueError(f"pos matrix must have shape ({n}, {n}), got {a.shape}")
+    layers = np.empty((2, n, n), dtype=np.int64)  # one owned copy, checked in place
+    np.subtract(np.maximum(a, 0, out=layers[0]), a, out=layers[1])
+    _check_layers(layers, mode)
+    return _graph_from_layers(layers, mode)
 
 
 def _require_simple(g: SignedGraph, op: str) -> None:

@@ -248,29 +248,32 @@ def _join_k2_3reg() -> list:
 def _join_formula() -> list:
     rng = np.random.default_rng(20260818)
     g1_pool = [complete(2), cycle(4), complete(4), cycle(5), complete(5)]
-    # signed_join_amplitude's checks, once a first factor instead of once a
-    # sample: regular_stats here, and complete graphs and cycles are connected
-    stats_pool = [regular_stats(g1) for g1 in g1_pool]
     samples = 200
-    by_size = {}
+    partners, by_size = [], {}
     for i in range(samples):
-        g1, stats1 = g1_pool[i % len(g1_pool)], stats_pool[i % len(g1_pool)]
+        g1 = g1_pool[i % len(g1_pool)]
         k2 = 3 if i % 2 == 0 else 4
         n2 = int(rng.choice([4, 6, 8, 10, 12] if k2 == 3 else list(range(5, 13))))
         g2 = random_regular(n2, k2, seed=int(rng.integers(0, 2 ** 31)))
         t = float(rng.uniform(0.0, 2 * math.pi))
         a = int(rng.integers(0, g1.n))
         b = int(rng.integers(0, g1.n))
-        closed = _join_amplitude(g1, stats1, regular_stats(g2), a, b, t).value
+        partners.append((g2.n, regular_stats(g2).k, a, b, t))
         by_size.setdefault(g1.n + g2.n, []).append(
-            (signed_join(g1, g2, -1, +1).adjacency, a, b, t, closed))
+            (i, signed_join(g1, g2, -1, +1).adjacency, a, b, t))
+    # the closed forms, one kernel call per first factor on signed_join_amplitude's
+    # checks made once: regular_stats here, and complete graphs and cycles are connected
+    closed = np.empty(samples, dtype=complex)
+    for f, g1 in enumerate(g1_pool):
+        queries = zip(*partners[f::len(g1_pool)])
+        closed[f::len(g1_pool)] = _join_amplitude(g1, regular_stats(g1), *queries)
     # the dense route: one stacked spectrum and one batched amplitude per join size
     worst = 0.0
     for joins in by_size.values():
-        adjacency, a, b, t, closed = zip(*joins)
+        rows, adjacency, a, b, t = zip(*joins)
         spec = eig_sym(np.stack(adjacency))
         direct = _transfer(spec, _weights(spec, a, b), np.array(t)[:, None])[:, 0]
-        worst = max(worst, float(np.abs(np.array(closed) - direct).max()))
+        worst = max(worst, float(np.abs(closed[list(rows)] - direct).max()))
     return [_at_most(f"closed-form join amplitude vs dense spectral route: max "
                      f"error over {samples} seeded samples (regular partners on "
                      f"up to 12 vertices)", 1e-9, worst, "derived")]

@@ -629,20 +629,23 @@ def signed_join_amplitude(g1: SignedGraph, g2: SignedGraph, a: int, b: int,
     stats1, stats2 = regular_stats(g1), regular_stats(g2)
     if not is_connected(g1):
         raise ValueError("the first join factor must be connected")
-    return _join_amplitude(g1, stats1, stats2, a, b, t)
+    z = _join_amplitude(g1, stats1, [stats2.n], [stats2.k], [a], [b], [float(t)])[0]
+    return WalkAmplitude.from_complex(complex(z), float(t))
 
 
-def _join_amplitude(g1: SignedGraph, stats1, stats2, a: int, b: int, t: float) -> WalkAmplitude:
-    """:func:`signed_join_amplitude` on checked factors: ``stats1`` and
-    ``stats2`` are their :func:`~sgwalk.construct.regular_stats`, and G1 is
-    connected."""
-    t = float(t)
-    data = join_spectral_data(stats1.n, stats1.k, stats2.n, stats2.k)
-    dp, dm, Delta = data.delta_plus, data.delta_minus, data.Delta
-    osc = math.cos(t * Delta) - 1j * (dp / Delta) * math.sin(t * Delta)
-    z = amplitude(g1, a, b, -t).value
-    z += np.exp(-1j * t * dm) / stats1.n * (osc - np.exp(-1j * t * dp))
-    return WalkAmplitude.from_complex(complex(z), t)
+def _join_amplitude(g1: SignedGraph, stats1, n2, k2, a, b, t) -> np.ndarray:
+    """:func:`signed_join_amplitude`'s complex amplitudes for a batch of queries on
+    one checked first factor (``stats1`` its regular_stats, G1 connected): query q
+    joins a regular partner of ``n2[q]`` vertices and degree ``k2[q]`` and asks
+    for a[q] -> b[q] at t[q].  G1's part is one :func:`_transfer` over its cached
+    spectrum, the closed-form terms are array expressions."""
+    n2, k2, t = (np.asarray(x, dtype=float) for x in (n2, k2, t))
+    spec = eig_sym(g1)
+    z = _transfer(spec, _weights(spec, a, b), -t[:, None])[:, 0]  # refuses a bad time first
+    dp, dm = -(stats1.k + k2) / 2.0, -(stats1.k - k2) / 2.0
+    Delta = np.sqrt(dp * dp + stats1.n * n2)
+    osc = np.cos(t * Delta) - 1j * (dp / Delta) * np.sin(t * Delta)
+    return z + np.exp(-1j * t * dm) / stats1.n * (osc - np.exp(-1j * t * dp))
 
 
 @dataclass(frozen=True)

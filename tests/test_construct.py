@@ -267,6 +267,17 @@ def test_random_regular_matches_the_trial_by_trial_loop():
                     sampled(random_regular_reference, n, k, seed), (n, k, seed)
 
 
+def test_random_regular_hands_over_its_draw_as_edges():
+    for n, k, seed in [(10, 3, 5), (12, 4, 1), (40, 3, 7), (6, 5, 3)]:
+        g = random_regular(n, k, seed)
+        assert not vars(g).keys() & {"pos", "neg"}  # no layers until asked
+        assert g.mode == SIMPLE and g.edge_count() == n * k // 2
+        assert not vars(g).keys() & {"pos", "neg"}  # the edge view makes none
+        want = random_regular_reference(n, k, seed)
+        assert np.array_equal(g.pos, want.pos) and not g.neg.any()
+        assert not g.pos.flags.writeable and not g.neg.flags.writeable
+
+
 def test_random_regular_exhaustion_is_unchanged(monkeypatch):
     construct = importlib.import_module("sgwalk.construct")
     with pytest.raises(RuntimeError, match="^could not sample a simple 6-regular graph "

@@ -125,6 +125,21 @@ def test_from_net_matrix_splits_layers():
     assert np.array_equal(g.adjacency, net)
 
 
+def test_from_net_matrix_checks_the_layers_it_hands_over():
+    # an outside int64 net at n = 1,024 (8 MiB): its two layers are filled and
+    # checked in one owned (2, n, n) array, with no copy of either layer
+    net = hypercube(10).adjacency
+    tracemalloc.start()
+    try:
+        g = from_net_matrix(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+    assert g.mode == SIMPLE and np.array_equal(g.adjacency, net) and not g.neg.any()
+    assert not g.pos.flags.writeable and g.pos.base is g.neg.base
+
+
 def test_switch_involution_and_spectrum():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -554,13 +569,13 @@ def derivations(draw):
 def test_derived_and_constructed_graphs_skip_the_full_check_it_would_accept(case):
     derived, (signed, multi, unsigned) = case
     calls = []
-    full_check = SignedGraph.__post_init__
+    full_check = core._check_layers  # SignedGraph's check, which from_net_matrix runs in place
 
-    def counted(self):
-        calls.append(self)
-        full_check(self)
+    def counted(layers, mode):
+        calls.append(layers)
+        full_check(layers, mode)
 
-    with mock.patch.object(SignedGraph, "__post_init__", counted):
+    with mock.patch.object(core, "_check_layers", counted):
         values, checks = {}, {}
         for name, make in derived:
             before = len(calls)
@@ -1051,17 +1066,18 @@ def test_values_made_from_edges_make_the_dense_routes_layers(tmp_path_factory, c
         assert_made_from_edges(exterior_power(unsigned, k), np.maximum(net, 0), np.maximum(-net, 0),
                                SIMPLE)
         assert_made_from_edges(symmetric_power(unsigned, k), np.abs(net), 0 * net, SIMPLE)
-    # random regular graphs: the layers of the edges they draw
+    # random regular graphs: the layers of the edges they hand over
     if n >= 4:
         drawn = []
 
-        def recorded(count, edge_array):
-            drawn.append(edge_array)
-            return build_signed_graph(count, edge_array)
+        def recorded(count, mode, _edges):
+            drawn.append(_edges)
+            return core._signed_value(count, mode, _edges=_edges)
 
-        with mock.patch.object(construct, "build_signed_graph", recorded):
+        with mock.patch.object(construct, "_signed_value", recorded):
             g = random_regular(n + n % 2, 3, seed)
-        want = reference_build(n + n % 2, drawn[0].tolist(), SIMPLE)
+        (u, v), layer = drawn[0]
+        want = reference_build(n + n % 2, np.column_stack((u, v, 1 - 2 * layer)).tolist(), SIMPLE)
         assert_made_from_edges(g, want.pos, want.neg, SIMPLE)
 
 

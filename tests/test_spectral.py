@@ -37,6 +37,7 @@ from sgwalk import (
     propagator,
     pst_search,
     random_regular,
+    regular_stats,
     signed_join,
     signed_join_amplitude,
     switch,
@@ -627,6 +628,37 @@ def test_join_closed_form_matches_dense_exponential():
         closed = signed_join_amplitude(g1, g2, 0, 1, t)
         dense = scipy.linalg.expm(-1j * t * join.adjacency.astype(float))
         assert abs(closed.value - dense[1, 0]) < 1e-9
+
+
+JOIN_FIRST_FACTORS = [complete(2), cycle(4), complete(4), cycle(5), complete(5)]
+
+
+@st.composite
+def join_queries(draw, n1):
+    """A regular partner drawn by random_regular (k in {3, 4}, up to 12 vertices),
+    a vertex pair of a first factor on n1 vertices and a time in [0, 2 pi]."""
+    k2 = draw(st.sampled_from([3, 4]))
+    n2 = draw(st.sampled_from([4, 6, 8, 10, 12] if k2 == 3 else list(range(5, 13))))
+    partner = regular_stats(random_regular(n2, k2, seed=draw(st.integers(0, 2 ** 31 - 1))))
+    a, b = draw(st.integers(0, n1 - 1)), draw(st.integers(0, n1 - 1))
+    return partner.n, partner.k, a, b, draw(st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_batched_join_amplitudes_are_the_batch_of_one_bit_for_bit(data):
+    g1 = data.draw(st.sampled_from(JOIN_FIRST_FACTORS))
+    queries = data.draw(st.lists(join_queries(g1.n), min_size=1, max_size=12))
+    stats1 = regular_stats(g1)
+    batch = spectral._join_amplitude(g1, stats1, *zip(*queries))
+    assert batch.shape == (len(queries),)
+    for q, (n2, k2, a, b, t) in enumerate(queries):
+        one = spectral._join_amplitude(g1, stats1, [n2], [k2], [a], [b], [t])
+        assert batch[q:q + 1].tobytes() == one.tobytes(), q
+    # the public call is the batch of one, on a partner of the same size and degree
+    n2, k2, a, b, t = queries[0]
+    closed = signed_join_amplitude(g1, random_regular(n2, k2), a, b, t)
+    assert closed.value == complex(batch[0])
 
 
 def test_join_transfer_time_formula():
